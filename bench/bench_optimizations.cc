@@ -24,10 +24,10 @@
 //   (i) failure-plane hook overhead — fault probes, deadline stamping and
 //       the admission gate armed but never firing vs. a plain mount
 //       (guarded <=2%; docs/robustness.md).
-//   (j) submission rings — GETATTR storm and 4KB random-read ops/sec on the
-//       SQ/CQ ring transport vs. the per-request wakeup handshake
-//       (target >= 1.5x on the GETATTR storm; docs/transport.md).
-//       Panels (a)-(i) are pinned rings-off so their numbers stay
+//   (j) submission rings — GETATTR storm and 4KB random-read ops/sec under
+//       the ring cost profile vs. the paper's per-request wakeup handshake
+//       profile (target >= 1.5x on the GETATTR storm; docs/transport.md).
+//       Panels (a)-(i) pin the paper profile so their numbers stay
 //       bit-identical to the pre-ring baselines.
 //   (k) observability plane overhead — the panel (j) GETATTR storm and the
 //       panel (f) spliced read/write with tracing off vs. on (guarded <=2%;
@@ -63,9 +63,10 @@ using cntr::fuse::FuseMountOptions;
 namespace {
 
 // Panels (a)-(i) predate the submission-ring transport and are regression-
-// guarded bit-for-bit: they run on the wakeup path so this PR's transport
-// change cannot move their numbers. Panel (j) measures the rings themselves.
-FuseMountOptions OptimizedNoRings() {
+// guarded bit-for-bit: they keep the paper's wakeup-handshake cost profile,
+// so the ring profile's cheaper round trip cannot move their numbers. Panel
+// (j) measures the ring profile itself.
+FuseMountOptions OptimizedPaperProfile() {
   FuseMountOptions o = FuseMountOptions::Optimized();
   o.ring_enabled = false;
   return o;
@@ -460,10 +461,10 @@ double RunProxyThroughput(bool segment_splice) {
 // --- Panel (j) workloads: small-op storms. ---
 //
 // Per-op payloads are tiny, so the per-request transport handshake IS the
-// cost. This is the shape the submission rings target: sqe + doorbell + cqe
-// (3250ns) against the 6000ns wakeup round trip, with multi-reap burst
-// amortization on the server side. Panels (a)-(i) run rings-off; these two
-// run both transports on otherwise identical mounts.
+// cost. This is the shape the ring profile targets: sqe + doorbell + cqe
+// (3250ns) against the paper profile's 6000ns wakeup round trip, with
+// multi-reap burst amortization on the server side. Panels (a)-(i) run the
+// paper profile; these two run both profiles on otherwise identical mounts.
 
 // Stat storm over a small working set with the attribute cache disabled:
 // every stat() is a dcache hit plus one GETATTR round trip, nothing else —
@@ -557,9 +558,9 @@ int main(int argc, char** argv) {
   // (a) Read cache: concurrent readers reopening the file.
   {
     auto workload = MakeThreadedIoReopen(4);
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.keep_cache = false;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     double before = RunCntr(*workload, off);
     double after = RunCntr(*workload, on);
     metrics["a_read_cache_before"] = before;
@@ -573,9 +574,9 @@ int main(int argc, char** argv) {
   // timed per-op as iozone does (the final close/flush is excluded).
   {
     auto workload = MakeIoZoneWriteNoClose(48);
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.writeback_cache = false;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     double before = RunCntr(*workload, off);
     double after = RunCntr(*workload, on);
     double native = RunNative(*workload);
@@ -592,11 +593,11 @@ int main(int argc, char** argv) {
   // (c) Batching: compilebench read tree.
   {
     auto workload = MakeCompileBench("read");
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.parallel_dirops = false;
     off.async_read = false;
     off.batch_forget = false;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     double before = RunCntr(*workload, off);
     double after = RunCntr(*workload, on);
     metrics["c_batching_before"] = before;
@@ -609,9 +610,9 @@ int main(int argc, char** argv) {
   // (d) Splice read: sequential reads.
   {
     auto workload = MakeIoZone(false, 64);
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.splice_read = false;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     double before = RunCntr(*workload, off);
     double after = RunCntr(*workload, on);
     metrics["d_splice_read_before"] = before;
@@ -626,9 +627,9 @@ int main(int argc, char** argv) {
   // ⌈K/batch⌉ requests removes the per-child LOOKUP storm.
   {
     auto workload = MakeCompileBench("read");
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.readdirplus = false;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     double before = RunCntr(*workload, off);
     double after = RunCntr(*workload, on);
     double native = RunNative(*workload);
@@ -648,12 +649,12 @@ int main(int argc, char** argv) {
     // Both sides pinned to the legacy 32-page window (max_pages = 32): this
     // panel isolates the transport (copy vs. splice) at a fixed request
     // shape; panel (g) measures the windows themselves.
-    FuseMountOptions off = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
     off.keep_cache = false;  // each reopen re-rides the transport
     off.splice_read = false;
     off.splice_move = false;
     off.max_pages = 32;
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions on = OptimizedPaperProfile();
     on.keep_cache = false;
     on.max_pages = 32;
     double before = RunCntr(read_wl, off);
@@ -667,13 +668,13 @@ int main(int argc, char** argv) {
     // 8MB stays under the server-side ExtFs dirty threshold (16MB), so the
     // timed phase measures the transport, not EBS writeback.
     SeqWriteTransport write_wl(/*file_mb=*/8);
-    FuseMountOptions woff = OptimizedNoRings();
+    FuseMountOptions woff = OptimizedPaperProfile();
     woff.writeback_cache = false;     // write-through: WRITEs are in-band
     woff.max_write = 1024 * 1024;     // true 1MB WRITE round trips
     woff.splice_write = false;
     woff.splice_move = false;
     woff.max_pages = 32;
-    FuseMountOptions won = OptimizedNoRings();
+    FuseMountOptions won = OptimizedPaperProfile();
     won.writeback_cache = false;
     won.max_write = 1024 * 1024;
     won.pipe_pages = 256;             // lane sized to carry the 1MB payload
@@ -694,10 +695,10 @@ int main(int argc, char** argv) {
   // their old shape (the ramp collapses, panel (f) stays pinned).
   {
     SeqReadTransport read_wl(/*file_mb=*/32, /*passes=*/3);
-    FuseMountOptions legacy = OptimizedNoRings();
+    FuseMountOptions legacy = OptimizedPaperProfile();
     legacy.keep_cache = false;
     legacy.max_pages = 0;  // 128KiB fixed-ceiling windows (pre-negotiation)
-    FuseMountOptions adaptive = OptimizedNoRings();
+    FuseMountOptions adaptive = OptimizedPaperProfile();
     adaptive.keep_cache = false;  // defaults: negotiate up to 256 pages
     std::printf("(g) Adaptive I/O windows\n");
 
@@ -707,11 +708,11 @@ int main(int argc, char** argv) {
     // where the per-request hop is the dominant cost, so the window size
     // shows up ~1:1.
     SeqWriteTransport wt_wl(/*file_mb=*/8);
-    FuseMountOptions wt_legacy = OptimizedNoRings();
+    FuseMountOptions wt_legacy = OptimizedPaperProfile();
     wt_legacy.writeback_cache = false;
     wt_legacy.splice_write = true;
     wt_legacy.max_pages = 0;  // PR 3 default mount: 128KiB max_write
-    FuseMountOptions wt_adaptive = OptimizedNoRings();
+    FuseMountOptions wt_adaptive = OptimizedPaperProfile();
     wt_adaptive.writeback_cache = false;
     wt_adaptive.splice_write = true;
     double wt_128k = RunCntr(wt_wl, wt_legacy);
@@ -765,12 +766,12 @@ int main(int argc, char** argv) {
     // every write bounded.
     StreamingWriteStall write_old(/*file_mb=*/320);
     StreamingWriteStall write_new(/*file_mb=*/320);
-    FuseMountOptions old_wb = OptimizedNoRings();
+    FuseMountOptions old_wb = OptimizedPaperProfile();
     old_wb.flusher_threads = 0;
     old_wb.dirty_soft_bytes = 256ull << 20;
     old_wb.dirty_hard_bytes = 256ull << 20;  // the old single threshold
     old_wb.per_inode_dirty_bytes = UINT64_MAX;
-    FuseMountOptions new_wb = OptimizedNoRings();  // watermarks + flushers
+    FuseMountOptions new_wb = OptimizedPaperProfile();  // watermarks + flushers
     double wr_old = RunCntr(write_old, old_wb);
     double wr_new = RunCntr(write_new, new_wb);
     metrics["g_stream_write_old"] = wr_old;
@@ -805,8 +806,8 @@ int main(int argc, char** argv) {
   {
     auto metadata_wl = MakeCompileBench("read");  // dense request path
     SeqReadTransport data_wl(/*file_mb=*/32, /*passes=*/3);
-    FuseMountOptions off = OptimizedNoRings();
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
+    FuseMountOptions on = OptimizedPaperProfile();
     on.request_deadline_ns = 60'000'000'000;  // 60s virtual: never expires
     on.deadline_grace_ms = 10'000;            // sweeper armed, never fires
     on.max_background = 4096;                 // gate checked, never blocks
@@ -834,14 +835,14 @@ int main(int argc, char** argv) {
     std::printf("    worst overhead %.2f%%   (target: <=2%%)\n\n", overhead);
   }
 
-  // (j) Submission rings: small-op storms, SQ/CQ ring transport vs. the
-  // per-request wakeup handshake on otherwise identical mounts. Tiny
-  // payloads make the handshake the dominant per-op cost, so the ring's
-  // cheaper round trip (and the server's multi-reap of queued bursts) shows
-  // up directly in ops/sec.
+  // (j) Submission rings: small-op storms, the ring profile vs. the paper's
+  // per-request wakeup-handshake profile on otherwise identical mounts.
+  // Tiny payloads make the handshake the dominant per-op cost, so the ring
+  // profile's cheaper round trip (and the server's multi-reap of queued
+  // bursts) shows up directly in ops/sec.
   {
     GetattrStorm storm(/*ops=*/8192);
-    FuseMountOptions wakeup = OptimizedNoRings();
+    FuseMountOptions wakeup = OptimizedPaperProfile();
     wakeup.attr_ttl_ns = 0;  // every stat is a GETATTR round trip
     FuseMountOptions ring = FuseMountOptions::Optimized();
     ring.attr_ttl_ns = 0;
@@ -856,7 +857,7 @@ int main(int argc, char** argv) {
                 storm_wakeup, storm_ring, storm_wakeup > 0 ? storm_ring / storm_wakeup : 0);
 
     SmallReadStorm rread(/*file_mb=*/64, /*reads=*/4096);
-    FuseMountOptions rr_wakeup = OptimizedNoRings();
+    FuseMountOptions rr_wakeup = OptimizedPaperProfile();
     FuseMountOptions rr_ring = FuseMountOptions::Optimized();
     double rread_wakeup = RunCntr(rread, rr_wakeup);
     double rread_ring = RunCntr(rread, rr_ring);
@@ -891,7 +892,7 @@ int main(int argc, char** argv) {
     // guard so the data path stays covered, not just the metadata path.
     SeqReadTransport read_off_wl(/*file_mb=*/32, /*passes=*/3);
     SeqReadTransport read_on_wl(/*file_mb=*/32, /*passes=*/3);
-    FuseMountOptions read_opts = OptimizedNoRings();
+    FuseMountOptions read_opts = OptimizedPaperProfile();
     read_opts.keep_cache = false;
     read_opts.max_pages = 32;
     obs::SetTracingEnabled(false);
@@ -901,7 +902,7 @@ int main(int argc, char** argv) {
 
     SeqWriteTransport write_off_wl(/*file_mb=*/8);
     SeqWriteTransport write_on_wl(/*file_mb=*/8);
-    FuseMountOptions write_opts = OptimizedNoRings();
+    FuseMountOptions write_opts = OptimizedPaperProfile();
     write_opts.writeback_cache = false;
     write_opts.max_write = 1024 * 1024;
     write_opts.pipe_pages = 256;
@@ -955,8 +956,8 @@ int main(int argc, char** argv) {
   // parsing the header after the pipe costs every request a hop (§3.3).
   {
     auto read_tree = MakeCompileBench("read");
-    FuseMountOptions off = OptimizedNoRings();
-    FuseMountOptions on = OptimizedNoRings();
+    FuseMountOptions off = OptimizedPaperProfile();
+    FuseMountOptions on = OptimizedPaperProfile();
     on.splice_write = true;
     double without = RunCntr(*read_tree, off);
     double with = RunCntr(*read_tree, on);

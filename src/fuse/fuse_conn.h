@@ -11,7 +11,7 @@
 // independent queue with its own lock.
 //
 // FuseConn reproduces both designs. It owns N FuseChannels, each with its
-// own mutex, request deque, pending-reply map, and condition variables:
+// own submission ring and completion slots (see fuse_ring.h):
 //
 //   * Routing: the kernel side picks a channel by hashing the calling
 //     process (sticky — one process's requests, including its FORGETs,
@@ -35,14 +35,16 @@
 //
 // The default is one channel — the paper's configuration.
 //
-// Submission rings (post-paper, the FUSE-over-io_uring lineage): when the
-// mount negotiates kFuseRingSubmission, each channel swaps the
-// mutex+deque+pending-map+condvar handshake for a pair of ring buffers (see
-// fuse_ring.h): submissions ride a lock-free SQ the server reaps in bursts,
-// completions land in per-request slots the waiter spin-polls, and a
-// doorbell per direction is only rung when the far side is actually parked.
-// The legacy wakeup path stays bit-identical for mounts that do not opt in
-// (FuseMountOptions::Paper() / Baseline(), and raw FuseConn users).
+// One request path (the FUSE-over-io_uring lineage): submissions ride a
+// lock-free SQ the server reaps, completions land in per-request slots the
+// waiter polls, and a wakeup per direction is only delivered when the far
+// side is actually parked. What a trip costs is the ring's cost profile
+// (RingProfile in fuse_ring.h). A fresh connection, its INIT exchange, and
+// every mount that does not negotiate kFuseRingSubmission run the paper's
+// wakeup handshake as the kPaper profile — a full round trip plus the
+// Figure 4 contention premium per request, single-request reaps, waiters
+// that park at once. A mount that negotiates the bit switches to kRing:
+// cheap SQE/CQE fills plus a doorbell, burst reaps, spin-then-park waiters.
 #ifndef CNTR_SRC_FUSE_FUSE_CONN_H_
 #define CNTR_SRC_FUSE_FUSE_CONN_H_
 
@@ -51,9 +53,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -89,9 +89,9 @@ inline constexpr size_t kDefaultLanePages = 32;
 // of its direction is occupied.
 inline constexpr size_t kLanePoolSize = 8;
 
-// One cloned /dev/fuse queue: private lock, request deque, pending-reply
-// map, and reply condvar. Padded so neighbouring channel locks do not
-// false-share.
+// One cloned /dev/fuse queue: a submission ring with its completion slots,
+// plus the channel's occupancy, routing and batch counters. Padded so
+// neighbouring channels do not false-share.
 //
 // Each channel also owns a pool of pipe pairs — its zero-copy data lanes
 // (kLanePoolSize per direction, the libfuse pipe-pool analogue). Spliced
@@ -104,7 +104,7 @@ inline constexpr size_t kLanePoolSize = 8;
 // spliced payload in one read). A payload that fits no lane falls back to
 // the copy path whole.
 struct alignas(64) FuseChannel {
-  FuseChannel() {
+  FuseChannel(size_t ring_depth, RingProfile profile) {
     for (size_t i = 0; i < kLanePoolSize; ++i) {
       lane_in[i] = std::make_shared<kernel::PipeBuffer>(
           /*hub=*/nullptr, kDefaultLanePages * kernel::kPageSize);
@@ -117,27 +117,22 @@ struct alignas(64) FuseChannel {
         lane->AddWriter();
       }
     }
+    InstallRing(ring_depth, profile);
   }
 
-  mutable analysis::CheckedMutex mu{"fuse.conn.channel"};
-  analysis::CheckedCondVar reply_cv{"fuse.conn.channel.reply_cv"};  // kernel waits for replies
-  std::deque<FuseRequest> queue;
-  struct PendingReply {
-    bool done = false;
-    // Request lifecycle hardening (see docs/robustness.md): a waiter wakes
-    // on done, timed_out, interrupted, or connection abort — whichever
-    // happens first; the losing outcomes are dropped with a stat.
-    bool timed_out = false;
-    bool interrupted = false;
-    uint64_t deadline_ns = 0;  // virtual deadline; 0 = none armed
-    std::chrono::steady_clock::time_point enqueued_real;
-    kernel::Pid pid = 0;  // submitting process (InterruptPid lookup)
-    FuseReply reply;
-  };
-  std::map<uint64_t, PendingReply> pending;
+  // The live ring; never null.
+  RingState& ring() const { return *live_ring.load(std::memory_order_acquire); }
+  // Publishes a fresh ring (FuseConn's config_mu_ held). The rings it
+  // replaces stay allocated for the channel's lifetime, because a worker
+  // may still be scanning one.
+  void InstallRing(size_t depth, RingProfile profile) {
+    rings.push_back(std::make_unique<RingState>(depth, profile));
+    live_ring.store(rings.back().get(), std::memory_order_release);
+  }
+
   // Virtual-time occupancy: the instant this channel finishes its current
-  // backlog. Only observable across parallel SimClock lanes. Atomic because
-  // the ring transport updates it without ch.mu (monotonic fetch-max).
+  // backlog. Only observable across parallel SimClock lanes. Updated
+  // lock-free (monotonic fetch-max).
   std::atomic<uint64_t> busy_until_ns{0};
   // Server threads whose home queue this is (Figure 4 premium scales with
   // the readers of this channel only).
@@ -158,17 +153,24 @@ struct alignas(64) FuseChannel {
   std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize> lane_out;
   std::atomic<bool> splice_enabled{true};
 
-  // Submission-ring state (null on the legacy wakeup path). Published with
-  // release once fully constructed; owned for the channel's lifetime.
-  std::unique_ptr<RingState> ring_owner;
-  std::atomic<RingState*> ring{nullptr};
+  // Batch-efficiency counters (FuseConn::RingChannelStats), kept here so a
+  // ring replacement does not reset them.
+  std::atomic<uint64_t> doorbells{0};
+  std::atomic<uint64_t> reaps{0};
+  std::atomic<uint64_t> reaped_requests{0};
+  std::atomic<uint64_t> max_reqs_per_reap{0};
+  std::atomic<uint64_t> sq_overflows{0};
+  std::atomic<uint64_t> spin_parks{0};
+
+  std::vector<std::unique_ptr<RingState>> rings;
+  std::atomic<RingState*> live_ring{nullptr};
 };
 
 class FuseConn {
  public:
   // Up to kMaxChannels cloned queues; channel indices ride in the low bits
-  // of the request unique so replies find their pending map without a
-  // global table.
+  // of the request unique so replies find their channel's completion slots
+  // without a global table.
   static constexpr size_t kChannelBits = 6;
   static constexpr size_t kMaxChannels = size_t{1} << kChannelBits;
 
@@ -183,7 +185,8 @@ class FuseConn {
   ~FuseConn();
 
   // Reshapes the channel set (FUSE_DEV_IOC_CLONE analogue). Only honoured
-  // before traffic: no readers registered, nothing queued, not aborted.
+  // before traffic: no readers registered, nothing queued or in flight, not
+  // aborted.
   // Returns the resulting channel count.
   size_t ConfigureChannels(size_t requested);
   // Live reshape for pool-served connections (channel-count autoscaling).
@@ -198,29 +201,36 @@ class FuseConn {
   size_t TryReshapeChannels(size_t requested);
   size_t num_channels() const { return num_channels_.load(std::memory_order_acquire); }
 
-  // Switches every channel to the submission-ring transport (negotiated at
-  // INIT via kFuseRingSubmission). Only honoured on a quiet connection —
-  // nothing queued, nothing pending, not aborted; readers may already be
-  // parked (they pick the rings up on their next scan). `depth` is rounded
-  // up to a power of two in [kMinRingDepth, kMaxRingDepth]; `spin_budget`
-  // is the iterations both sides spin-poll before parking. Returns the
-  // effective depth, or 0 when the switch was refused (depth 0 opts out).
-  size_t ConfigureRing(size_t depth, uint32_t spin_budget = kDefaultRingSpinBudget);
-  bool ring_enabled() const { return ring_enabled_.load(std::memory_order_acquire); }
-  size_t ring_depth() const { return ring_depth_.load(std::memory_order_acquire); }
+  // Settles the rings once INIT has: gives every channel a fresh ring of
+  // `depth` entries running `profile` (kRing when the mount negotiated
+  // kFuseRingSubmission, kPaper otherwise). A fresh connection runs kPaper
+  // on kDefaultRingDepth-entry rings. Only honoured on a quiet connection —
+  // nothing queued or in flight, not aborted; readers may already be parked
+  // (they pick the new rings up on their next scan). The negotiated ring
+  // profile sticks: once a connection runs kRing, further calls change
+  // nothing. `depth` is rounded up to a power of two in [kMinRingDepth,
+  // kMaxRingDepth] and is also the per-channel in-flight ceiling;
+  // `spin_budget` is the iterations a kRing waiter spin-polls before
+  // parking. Returns the effective depth, or 0 when refused (depth 0 keeps
+  // the current rings).
+  size_t ConfigureRing(size_t depth, uint32_t spin_budget = kDefaultRingSpinBudget,
+                       RingProfile profile = RingProfile::kRing);
+  RingProfile ring_profile() const { return Channel(0).ring().profile; }
+  size_t ring_depth() const { return Channel(0).ring().depth; }
 
   // Sticky routing: which channel requests from `pid` land on.
   size_t RouteChannel(kernel::Pid pid) const;
 
   // --- kernel side ---
   // Blocks until the server replies (or the connection aborts: ENOTCONN).
-  // Charges one FUSE round trip on the virtual clock, the per-channel
-  // contention premium, and — across parallel lanes — the channel's backlog.
+  // Charges a round trip of the channel's cost profile on the virtual clock
+  // and — across parallel lanes — the channel's backlog.
   StatusOr<FuseReply> SendAndWait(FuseRequest request);
 
-  // Fire-and-forget (FORGET/BATCH_FORGET have no reply). Charges one-way.
-  // Routed by pid like SendAndWait, so forgets stay ordered behind the
-  // caller's lookups on the same channel.
+  // Fire-and-forget (FORGET/BATCH_FORGET have no reply). Charges one SQE
+  // fill (half a round trip under the paper profile). Routed by pid like
+  // SendAndWait, so forgets stay ordered behind the caller's lookups on the
+  // same channel.
   void SendNoReply(FuseRequest request);
 
   // --- server side ---
@@ -228,11 +238,11 @@ class FuseConn {
   // stealing from non-empty siblings when it is dry; returns nullopt when
   // the connection aborts and all queues are drained (server threads exit).
   std::optional<FuseRequest> ReadRequest(size_t home_channel = 0);
-  // Ring-mode reap: blocks like ReadRequest but drains a whole burst (up to
-  // `max_batch` requests) from one channel in a single pass, so one wakeup
-  // amortizes over every SQ entry that accumulated while the worker was
-  // busy. Returns an empty batch when the connection aborts and the rings
-  // are drained. Falls back to a single legacy pop on non-ring channels.
+  // Blocks like ReadRequest but drains a whole burst (up to `max_batch`
+  // requests, capped by the ring profile's reap batch) from one channel in
+  // a single pass, so one wakeup amortizes over every SQ entry that
+  // accumulated while the worker was busy. Returns an empty batch when the
+  // connection aborts and the rings are drained.
   std::vector<FuseRequest> ReadRequestBatch(size_t home_channel = 0,
                                             size_t max_batch = kRingReapBatch);
   // Non-blocking variant for shared-pool workers: drains up to `max_batch`
@@ -296,8 +306,10 @@ class FuseConn {
     return shed_new_requests_.load(std::memory_order_acquire);
   }
 
-  // Requests currently queued across every channel (SQ occupancy in ring
-  // mode) — the pool's overload-watermark signal.
+  // Requests currently queued across every channel (SQ occupancy) — the
+  // pool's overload-watermark signal. An SQE is counted before it is
+  // published, so a concurrent reap can never drive this below zero; it may
+  // overshoot the SQ occupancy by one per submitter mid-push.
   uint64_t queued_depth() const { return queued_total_.load(std::memory_order_relaxed); }
 
   // --- shared-pool integration ---
@@ -315,7 +327,7 @@ class FuseConn {
   // would burn cycles the server can never answer within. 0 = unknown (no
   // backoff).
   void SetServerParallelism(uint32_t threads);
-  // The spin budget RingSendAndWait actually uses after the backoff.
+  // The spin budget a kRing waiter actually uses after the backoff.
   uint32_t effective_ring_spin_budget() const {
     return effective_spin_budget_.load(std::memory_order_acquire);
   }
@@ -387,22 +399,14 @@ class FuseConn {
   uint64_t channel_requests(size_t i) const {
     return Channel(i).enqueued.load(std::memory_order_relaxed);
   }
-  // Current depth of channel `i`'s queue (ring mode: SQ occupancy).
-  size_t channel_queue_depth(size_t i) const {
-    FuseChannel& ch = Channel(i);
-    if (const RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-      return ring->sq.SizeApprox();
-    }
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    return ch.queue.size();
-  }
+  // Current depth of channel `i`'s queue (SQ occupancy).
+  size_t channel_queue_depth(size_t i) const { return Channel(i).ring().sq.SizeApprox(); }
   // Deepest channel `i`'s queue has ever been.
   uint64_t channel_max_queue_depth(size_t i) const {
     return Channel(i).max_depth.load(std::memory_order_relaxed);
   }
 
-  // Per-channel batch-efficiency counters of the ring transport (all zero
-  // on the legacy wakeup path).
+  // Per-channel batch-efficiency counters of the ring transport.
   struct RingChannelStats {
     uint64_t doorbells = 0;     // submission doorbells rung (burst heads:
                                 // SQEs that found the ring empty)
@@ -413,15 +417,14 @@ class FuseConn {
     uint64_t spin_parks = 0;        // spin budgets exhausted into a park
   };
   RingChannelStats channel_ring_stats(size_t i) const {
+    const FuseChannel& ch = Channel(i);
     RingChannelStats s;
-    if (const RingState* ring = Channel(i).ring.load(std::memory_order_acquire)) {
-      s.doorbells = ring->doorbells.load(std::memory_order_relaxed);
-      s.reaps = ring->reaps.load(std::memory_order_relaxed);
-      s.reaped_requests = ring->reaped_requests.load(std::memory_order_relaxed);
-      s.max_reqs_per_reap = ring->max_reqs_per_reap.load(std::memory_order_relaxed);
-      s.sq_overflows = ring->sq_overflows.load(std::memory_order_relaxed);
-      s.spin_parks = ring->spin_parks.load(std::memory_order_relaxed);
-    }
+    s.doorbells = ch.doorbells.load(std::memory_order_relaxed);
+    s.reaps = ch.reaps.load(std::memory_order_relaxed);
+    s.reaped_requests = ch.reaped_requests.load(std::memory_order_relaxed);
+    s.max_reqs_per_reap = ch.max_reqs_per_reap.load(std::memory_order_relaxed);
+    s.sq_overflows = ch.sq_overflows.load(std::memory_order_relaxed);
+    s.spin_parks = ch.spin_parks.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -501,11 +504,8 @@ class FuseConn {
   FuseChannel& ChannelOfUnique(uint64_t unique) const {
     return Channel(unique & (kMaxChannels - 1));
   }
-  uint64_t MakeUnique(size_t channel) {
-    return (next_unique_.fetch_add(1) << kChannelBits) | channel;
-  }
-  // Ring-mode uniques additionally carry the completion-slot index, so a
-  // reply (or an interrupt) finds its slot without any lookup table:
+  // Uniques carry the channel and the completion-slot index, so a reply (or
+  // an interrupt) finds its slot without any lookup table:
   // (seq << 16) | (slot << 6) | channel.
   uint64_t MakeRingUnique(size_t channel, size_t slot) {
     return (next_unique_.fetch_add(1) << (kChannelBits + kRingSlotBits)) |
@@ -514,19 +514,19 @@ class FuseConn {
   static size_t SlotOfUnique(uint64_t unique) {
     return (unique >> kChannelBits) & (kMaxRingDepth - 1);
   }
-  // Monotonic occupancy update without ch.mu (both transports use it).
+  // Monotonic occupancy update, lock-free.
   static void BumpBusyUntil(FuseChannel& ch, uint64_t now_ns) {
     uint64_t cur = ch.busy_until_ns.load(std::memory_order_relaxed);
     while (cur < now_ns && !ch.busy_until_ns.compare_exchange_weak(
                                cur, now_ns, std::memory_order_relaxed)) {
     }
   }
-  // Pops the front of `ch` if non-empty (ch.mu must not be held). Consumes
-  // the lane bytes of a spliced request's payload.
-  std::optional<FuseRequest> TryPop(FuseChannel& ch);
   // Request-direction gate: lets a spliced WRITE payload onto lane_in, or
   // flattens it to the copy path (lane full / channel opted out).
   void GateRequestPayload(FuseChannel& ch, FuseRequest& request);
+  // Releases the lane_in capacity a spliced request payload has held since
+  // GateRequestPayload (no-op for copy-path requests).
+  void ReleaseRequestLane(FuseChannel& ch, const FuseRequest& request);
   // Reply-direction gate: lets a spliced payload onto lane_out, or flattens
   // reply.pages into reply.data (charging the copy).
   void GateReplyPayload(FuseChannel& ch, FuseReply& reply);
@@ -536,9 +536,13 @@ class FuseConn {
   bool MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes);
   // Post-enqueue wakeup handshake with idle workers.
   void NotifyWork();
-  // Appends `n` fresh channels to owned_channels_ and publishes them through
-  // the table (config_mu_ held).
-  void InstallChannels(size_t n);
+  // Appends `n` fresh channels (rings of `depth` entries running `profile`)
+  // to owned_channels_ and publishes them through the table (config_mu_
+  // held).
+  void InstallChannels(size_t n, size_t depth, RingProfile profile);
+  // Nothing queued, nothing in flight, not aborted: the connection may be
+  // reshaped or have its rings replaced.
+  bool Quiet() const;
   // Real-time deadline sweeper body (one background thread while armed).
   void SweeperLoop();
   void StopSweeper();
@@ -553,11 +557,10 @@ class FuseConn {
   // Fires the registered pool work observer, if armed (one relaxed load
   // when not).
   void NotifyWorkObserver();
-  // Enqueues the kInterrupt notification for an in-flight `unique` (ch.mu
-  // must not be held).
+  // Enqueues the kInterrupt notification for an in-flight `unique`.
   void EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t unique);
 
-  // --- submission-ring paths (see docs/transport.md "Submission rings") ---
+  // --- ring internals (see docs/transport.md "Submission rings") ---
   // Actions RingSendAndWait defers to its caller: both wake parked peers
   // (or sweep every channel, for Abort), and neither may run while the
   // caller still holds reshape_mu_ shared — submitters park on those very
@@ -569,8 +572,6 @@ class FuseConn {
   };
   StatusOr<FuseReply> RingSendAndWait(FuseChannel& ch, RingState& ring, size_t ch_idx,
                                       FuseRequest request, RingPostActions* post);
-  void RingSendNoReply(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                       FuseRequest request);
   // Claims a free completion slot (kSlotFree -> kSlotInit); -1 when none.
   int RingAllocSlot(RingState& ring);
   // Pushes one SQE, parking on a full ring (bounded waits; aborts bail out).
@@ -583,9 +584,6 @@ class FuseConn {
   // Marks a reaped SQE's slot as server-claimed; false when its waiter was
   // already resolved (interrupt/timeout/abort) and the entry must be dropped.
   bool RingClaimSqe(RingState& ring, const FuseRequest& req);
-  void RingWriteReply(FuseChannel& ch, RingState& ring, uint64_t unique,
-                      FuseReply reply);
-  bool RingInterrupt(FuseChannel& ch, RingState& ring, size_t ch_idx, uint64_t unique);
   // Wakes parked completion waiters (no virtual cost: control plane only).
   void RingWakeWaiters(RingState& ring);
   // Wakes submitters parked on a full ring after capacity was released.
@@ -601,19 +599,21 @@ class FuseConn {
   // Channel publication: readers (routing, enqueue, dequeue, reply) index
   // the fixed-size atomic pointer table lock-free; ConfigureChannels
   // installs new pointers and only then publishes the count. Every channel
-  // ever created stays in owned_channels_ until the connection dies, so a
-  // sender racing a (guarded, protocol-violating) reshape reads a stale but
-  // valid channel — never freed memory; at worst its request sits unserved
-  // until Abort sweeps every owned channel.
+  // ever created stays in owned_channels_ until the connection dies (and
+  // every ring in its channel), so a sender racing a (guarded,
+  // protocol-violating) reshape reads a stale but valid channel — never
+  // freed memory; at worst its request sits unserved until Abort sweeps
+  // every owned channel.
   std::array<std::atomic<FuseChannel*>, kMaxChannels> channel_table_{};
   std::atomic<size_t> num_channels_{1};
   mutable analysis::CheckedMutex config_mu_{"fuse.conn.config"};  // serializes reshape and Abort's owned sweep
   std::vector<std::unique_ptr<FuseChannel>> owned_channels_;
   // Submitters hold this shared across their whole route+enqueue+wait
-  // window; TryReshapeChannels try-locks it exclusive, so a live reshape can
-  // only fire when no sender holds a channel index derived from the old
-  // count. Abort never touches it (parked submitters still holding shared
-  // must stay wakeable).
+  // window; TryReshapeChannels try-locks it exclusive and ConfigureRing
+  // takes it exclusive, so the channel set and the rings only change when
+  // no sender holds a channel index or a ring derived from the old ones.
+  // Abort never touches it (parked submitters still holding shared must
+  // stay wakeable).
   mutable analysis::CheckedSharedMutex reshape_mu_{"fuse.conn.reshape"};
 
   // Idle workers park here; any enqueue (to any channel) wakes one. The
@@ -624,9 +624,7 @@ class FuseConn {
   std::atomic<int> idle_workers_{0};
   std::atomic<uint64_t> queued_total_{0};
 
-  // --- submission rings ---
-  std::atomic<bool> ring_enabled_{false};
-  std::atomic<uint64_t> ring_depth_{0};
+  // --- ring waits ---
   std::atomic<uint32_t> ring_spin_budget_{kDefaultRingSpinBudget};
   // Spin budget after oversubscription backoff (satellite: pool threads <
   // active channels must not burn the full configured spin before parking).

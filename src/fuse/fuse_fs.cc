@@ -220,9 +220,9 @@ Status FuseFs::NegotiateInit() {
                     (opts_.ring_enabled && opts_.ring_depth > 0 ? kFuseRingSubmission
                                                                 : 0);
   init.max_pages = std::min(opts_.max_pages, kFuseMaxMaxPages);
-  // INIT itself always rides the legacy wakeup path: the connection is
-  // fresh, nothing is negotiated yet, and ConfigureRing below only switches
-  // a quiet connection — i.e. after this reply has fully drained.
+  // INIT itself always rides the fresh connection's paper profile: nothing
+  // is negotiated yet, and ConfigureRing below only replaces the rings of a
+  // quiet connection — i.e. after this reply has fully drained.
   CNTR_ASSIGN_OR_RETURN(FuseReply init_reply, conn_->SendAndWait(std::move(init)));
   readdirplus_enabled_ =
       opts_.readdirplus && (init_reply.init_flags & kFuseDoReaddirplus) != 0;
@@ -233,15 +233,13 @@ Status FuseFs::NegotiateInit() {
   splice_move_enabled_ =
       opts_.splice_move && (init_reply.init_flags & kFuseSpliceMove) != 0;
 
-  // Submission rings: both sides must speak them (an old server echoes the
-  // flags without the bit and the mount stays on the wakeup path), and the
-  // connection must accept the switch.
-  ring_enabled_ = false;
-  if (opts_.ring_enabled && opts_.ring_depth > 0 &&
-      (init_reply.init_flags & kFuseRingSubmission) != 0) {
-    ring_enabled_ =
-        conn_->ConfigureRing(opts_.ring_depth, opts_.ring_spin_budget) > 0;
-  }
+  // Submission rings: both sides must speak them to switch the connection
+  // to the ring profile. Otherwise (the mount did not offer the bit, or an
+  // old server echoed the flags without it) it keeps the paper profile, on
+  // rings of the mount's depth.
+  const bool ring = opts_.ring_enabled && (init_reply.init_flags & kFuseRingSubmission) != 0;
+  conn_->ConfigureRing(opts_.ring_depth, opts_.ring_spin_budget,
+                       ring ? RingProfile::kRing : RingProfile::kPaper);
 
   // FUSE_MAX_PAGES: an old server echoes the flags without the bit (or
   // grants 0 pages) — fall back to the legacy 32-page / 128KiB windows.

@@ -116,16 +116,18 @@ struct FuseMountOptions {
   bool lane_autosize = true;
 
   // --- Submission-ring transport (docs/transport.md "Submission rings") ---
-  // Ask for kFuseRingSubmission at INIT: each channel swaps the per-request
-  // wakeup handshake for SQ/CQ ring buffers — batched submission, multi-reap,
-  // out-of-order completion. An old server that does not ack the flag keeps
-  // the mount on the legacy path transparently.
+  // Ask for kFuseRingSubmission at INIT: the connection's SQ/CQ rings
+  // switch from the paper's wakeup-handshake cost profile to the ring
+  // profile — cheap SQE/CQE fills, multi-reap bursts, spin-then-park
+  // waiters. Off (or an old server that does not ack the flag), the mount
+  // keeps the paper profile on the same code.
   bool ring_enabled = true;
   // Entries per ring (submission queue and completion slots). Rounded up to
-  // a power of two in [8, 1024]; also the per-channel in-flight ceiling.
-  uint32_t ring_depth = 64;
-  // Iterations a completion waiter (or idle worker) spin-polls before
-  // parking. Higher burns CPU to shave wakeup latency; 0 parks immediately.
+  // a power of two in [8, 1024]; also the per-channel in-flight ceiling,
+  // under either profile. 0 keeps the connection's default-depth rings.
+  uint32_t ring_depth = kDefaultRingDepth;
+  // Iterations a ring-profile completion waiter spin-polls before parking.
+  // Higher burns CPU to shave wakeup latency; 0 parks immediately.
   uint32_t ring_spin_budget = kDefaultRingSpinBudget;
 
   // --- Failure semantics (docs/robustness.md) ---
@@ -167,7 +169,7 @@ struct FuseMountOptions {
     o.dirty_hard_bytes = 256ull << 20;
     o.per_inode_dirty_bytes = UINT64_MAX;
     o.lane_autosize = false;
-    o.ring_enabled = false;  // paper-era wakeup transport, bit-identical
+    o.ring_enabled = false;  // the paper's wakeup-handshake cost profile
     return o;
   }
   // Everything off (the "before" bars in Figure 3).
@@ -184,7 +186,7 @@ struct FuseMountOptions {
     o.max_pages = 0;         // legacy 32-page / 128KiB windows
     o.flusher_threads = 0;   // synchronous flush at the hard watermark
     o.lane_autosize = false;
-    o.ring_enabled = false;  // per-request wakeup transport
+    o.ring_enabled = false;  // the paper's wakeup-handshake cost profile
     return o;
   }
 };
@@ -220,9 +222,9 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   bool splice_read_enabled() const { return splice_read_enabled_; }
   bool splice_write_enabled() const { return splice_write_enabled_; }
   bool splice_move_enabled() const { return splice_move_enabled_; }
-  // True when the mount asked for the submission-ring transport, the server
-  // acked kFuseRingSubmission, and the connection switched over.
-  bool ring_enabled() const { return ring_enabled_; }
+  // True when the mount asked for the ring profile, the server acked
+  // kFuseRingSubmission, and the connection switched over.
+  bool ring_enabled() const { return conn_->ring_profile() == RingProfile::kRing; }
 
   // --- negotiated I/O windows (FUSE_MAX_PAGES) ---
   // Pages the server granted at INIT; 0 when the mount did not ask or the
@@ -326,7 +328,6 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   bool splice_read_enabled_ = false;
   bool splice_write_enabled_ = false;
   bool splice_move_enabled_ = false;
-  bool ring_enabled_ = false;
   uint32_t negotiated_max_pages_ = 0;
   uint32_t effective_max_write_ = 128 * 1024;
   uint32_t readahead_ceiling_pages_ = 32;

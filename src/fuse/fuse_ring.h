@@ -1,7 +1,7 @@
 // Submission-ring transport structures for /dev/fuse (io_uring lineage).
 //
-// One RingState per FuseChannel replaces the mutex+deque+pending-map
-// handshake when the mount negotiates kFuseRingSubmission:
+// Every FuseChannel carries one live RingState; it is the connection's only
+// request path:
 //
 //   * Submission queue (SQ): a bounded lock-free MPMC ring of FuseRequest.
 //     The kernel facade fills entries, the server reaps whole bursts in one
@@ -9,7 +9,11 @@
 //   * Completion slots (CQ): a fixed array of `depth` slots. Each waiting
 //     request owns one slot for its lifetime; the server completes slots in
 //     whatever order its workers finish (out-of-order completion), and the
-//     waiter spin-polls its own slot — no shared reply map, no shared lock.
+//     waiter polls its own slot — no shared reply map, no shared lock.
+//
+// What a trip through the ring costs, and how its two sides wait, is the
+// ring's cost profile (RingProfile below): the paper's wakeup handshake or
+// the negotiated ring.
 //
 // Slot lifecycle is carried in a single control word per slot packing a
 // generation counter with a state: (gen << 4) | state. Every transition is
@@ -42,10 +46,29 @@ namespace cntr::fuse {
 inline constexpr size_t kRingSlotBits = 10;
 inline constexpr size_t kMinRingDepth = 8;
 inline constexpr size_t kMaxRingDepth = size_t{1} << kRingSlotBits;  // 1024
+// Depth of a fresh connection's rings, before INIT settles the mount's own.
+inline constexpr size_t kDefaultRingDepth = 64;
 // Iterations a waiter (or an idle worker) spin-polls before parking.
 inline constexpr uint32_t kDefaultRingSpinBudget = 2000;
 // Most SQ entries a single reap pass hands to one worker.
 inline constexpr size_t kRingReapBatch = 32;
+
+// Transport cost profiles. Both run the same SQ/CQ code and differ only in
+// what a trip costs on the virtual clock and in how the two sides wait:
+//
+//                          kPaper                      kRing
+//   SQE fill               round trip + (readers-1) *  fuse_ring_sqe_ns
+//                          thread contention
+//   doorbell (reply SQE)   0                           fuse_ring_doorbell_ns
+//   CQE publish            0                           fuse_ring_cqe_ns
+//   fire-and-forget fill   round trip / 2              fuse_ring_sqe_ns
+//   blocking reap batch    1                           kRingReapBatch
+//   waiter spin            none: parks at once         ring_spin_budget
+//
+// kPaper is the paper's wakeup handshake (§3.3, Figure 4): a fresh
+// connection and its INIT exchange run it, and so does every mount whose
+// INIT did not negotiate kFuseRingSubmission. kRing is the negotiated ring.
+enum class RingProfile { kPaper, kRing };
 
 // Bounded MPMC queue (Vyukov): each cell carries a sequence number that
 // encodes both occupancy and the lap it belongs to, so producers and
@@ -167,12 +190,13 @@ struct alignas(64) RingSlot {
 };
 
 struct RingState {
-  RingState(size_t depth, uint32_t spin_budget)
-      : depth(depth), spin_budget(spin_budget == 0 ? 1 : spin_budget), sq(depth),
-        slots(depth) {}
+  RingState(size_t depth, RingProfile profile)
+      : depth(depth), profile(profile), sq(depth), slots(depth) {}
+
+  bool paper() const { return profile == RingProfile::kPaper; }
 
   const size_t depth;
-  const uint32_t spin_budget;
+  const RingProfile profile;
   MpmcRing<FuseRequest> sq;
   std::vector<RingSlot> slots;
   // Rotating start for the completion-slot allocation scan.
@@ -181,8 +205,9 @@ struct RingState {
   // zero before draining the SQ so no entry is stranded behind it.
   std::atomic<uint32_t> submitting{0};
 
-  // Completion-side parking: waiters spin on their slot's ctrl first, then
-  // park here under a bounded wait (a lost doorbell self-heals).
+  // Completion-side parking: kRing waiters spin on their slot's ctrl first,
+  // kPaper waiters not at all; both park here under a bounded wait (a lost
+  // doorbell self-heals).
   analysis::CheckedMutex cq_mu{"fuse.ring.cq"};
   analysis::CheckedCondVar cq_cv{"fuse.ring.cq.cv"};
   std::atomic<uint32_t> parked_waiters{0};
@@ -190,14 +215,6 @@ struct RingState {
   analysis::CheckedMutex sq_mu{"fuse.ring.sq"};
   analysis::CheckedCondVar sq_cv{"fuse.ring.sq.cv"};
   std::atomic<uint32_t> sq_waiters{0};
-
-  // Batch-efficiency stats (per channel; FuseConn::Stats rolls them up).
-  std::atomic<uint64_t> doorbells{0};
-  std::atomic<uint64_t> reaps{0};
-  std::atomic<uint64_t> reaped_requests{0};
-  std::atomic<uint64_t> max_reqs_per_reap{0};
-  std::atomic<uint64_t> sq_overflows{0};
-  std::atomic<uint64_t> spin_parks{0};
 };
 
 }  // namespace cntr::fuse

@@ -8,7 +8,9 @@
 // the loop is channel-aware: the connection's cloned queues (see
 // fuse_conn.h) are distributed round-robin as worker home channels, and an
 // idle worker steals from non-empty siblings so a single hot process still
-// uses the whole pool.
+// uses the whole pool. How many requests one read returns is the
+// connection's ring profile's call (one under the paper profile, a burst
+// under the ring profile), so the loop itself is transport-agnostic.
 #ifndef CNTR_SRC_FUSE_FUSE_SERVER_H_
 #define CNTR_SRC_FUSE_FUSE_SERVER_H_
 

@@ -38,10 +38,9 @@ TEST(FuseConnTest, RoundTripThroughManualServer) {
   EXPECT_EQ(reply->attr.ino, 42u);
 }
 
-TEST(FuseConnTest, RoundTripChargesVirtualTime) {
-  SimClock clock;
-  CostModel costs;
-  FuseConn conn(&clock, &costs);
+// Virtual time one round trip through `conn` charges, served by a manual
+// server thread on the shared timeline.
+uint64_t MeasureRoundTrip(SimClock& clock, FuseConn& conn) {
   std::thread server([&] {
     auto req = conn.ReadRequest();
     conn.WriteReply(req->unique, FuseReply{});
@@ -49,7 +48,35 @@ TEST(FuseConnTest, RoundTripChargesVirtualTime) {
   uint64_t before = clock.NowNs();
   (void)conn.SendAndWait(FuseRequest{});
   server.join();
-  EXPECT_GE(clock.NowNs() - before, costs.fuse_round_trip_ns);
+  return clock.NowNs() - before;
+}
+
+TEST(FuseConnTest, RoundTripChargesVirtualTime) {
+  SimClock clock;
+  CostModel costs;
+  auto forget_charge = [&](FuseConn& conn) {
+    FuseRequest forget;
+    forget.opcode = FuseOpcode::kForget;
+    uint64_t before = clock.NowNs();
+    conn.SendNoReply(std::move(forget));
+    return clock.NowNs() - before;
+  };
+
+  // A fresh connection runs the paper profile: the wakeup round trip, and
+  // half of one for a fire-and-forget submission.
+  FuseConn paper(&clock, &costs);
+  EXPECT_EQ(MeasureRoundTrip(clock, paper), costs.fuse_round_trip_ns);
+  EXPECT_EQ(forget_charge(paper), costs.fuse_round_trip_ns / 2);
+  paper.Abort();
+
+  // The ring profile: SQE fill + doorbell + CQE publish; a FORGET is one
+  // SQE fill and rings no doorbell.
+  FuseConn ring(&clock, &costs);
+  ASSERT_GT(ring.ConfigureRing(kDefaultRingDepth), 0u);
+  EXPECT_EQ(MeasureRoundTrip(clock, ring),
+            costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns + costs.fuse_ring_cqe_ns);
+  EXPECT_EQ(forget_charge(ring), costs.fuse_ring_sqe_ns);
+  ring.Abort();
 }
 
 TEST(FuseConnTest, ErrorRepliesBecomeStatus) {
@@ -99,23 +126,28 @@ TEST(FuseConnTest, NoReplyRequestsDoNotBlock) {
 TEST(FuseConnTest, ContentionCostGrowsWithReaders) {
   SimClock clock;
   CostModel costs;
-  FuseConn conn_one(&clock, &costs);
-  FuseConn conn_many(&clock, &costs);
-  conn_one.AddReader();
-  for (int i = 0; i < 8; ++i) {
-    conn_many.AddReader();
-  }
-  auto measure = [&](FuseConn& conn) {
-    std::thread server([&] {
-      auto req = conn.ReadRequest();
-      conn.WriteReply(req->unique, FuseReply{});
-    });
-    uint64_t before = clock.NowNs();
-    (void)conn.SendAndWait(FuseRequest{});
-    server.join();
-    return clock.NowNs() - before;
+  auto with_readers = [&](int readers, RingProfile profile) {
+    auto conn = std::make_unique<FuseConn>(&clock, &costs);
+    if (profile == RingProfile::kRing) {
+      EXPECT_GT(conn->ConfigureRing(kDefaultRingDepth), 0u);
+    }
+    for (int i = 0; i < readers; ++i) {
+      conn->AddReader();
+    }
+    return conn;
   };
-  EXPECT_GT(measure(conn_many), measure(conn_one));
+  // Paper profile (Figure 4): every reader homed on the channel past the
+  // first adds the contention premium to each round trip.
+  EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(1, RingProfile::kPaper)),
+            costs.fuse_round_trip_ns);
+  EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(8, RingProfile::kPaper)),
+            costs.fuse_round_trip_ns + 7 * costs.fuse_thread_contention_ns);
+  // Ring profile: producers and the reaping consumer never contend on a
+  // queue lock, so the readers add nothing.
+  const uint64_t ring_trip =
+      costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns + costs.fuse_ring_cqe_ns;
+  EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(1, RingProfile::kRing)), ring_trip);
+  EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(8, RingProfile::kRing)), ring_trip);
 }
 
 // --- FuseFs behaviour through a real CntrFS server ---

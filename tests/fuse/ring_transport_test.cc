@@ -1,12 +1,15 @@
-// Submission-ring transport tests: negotiation and fallback, out-of-order
-// completion to the right waiters, SQ-full backpressure vs. the admission
-// gate, FORGET ordering across a reap boundary, interrupt and deadline
-// expiry of ring-resident requests, abort with entries in flight, multi-reap
-// batch accounting, paper-config determinism on the wakeup path, splice
-// payloads over rings, and the ring fault points degrading cleanly.
+// Submission-ring transport tests: profile negotiation and fallback, ring
+// replacement under a parked reader, out-of-order completion to the right
+// waiters, SQ-full backpressure vs. the admission gate, FORGET ordering
+// across a reap boundary, interrupt and deadline expiry of ring-resident
+// requests, abort with entries in flight, multi-reap batch accounting, a
+// queued-depth count that never wraps under concurrent reaps, the paper
+// profile's pinned timeline, splice payloads over rings, and the ring fault
+// points degrading cleanly.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,25 +56,65 @@ TEST(RingTransportTest, ConfigureRingClampsAndIsOneShot) {
   CostModel costs;
   {
     FuseConn conn(&clock, &costs, 2);
-    EXPECT_FALSE(conn.ring_enabled());
+    // A fresh connection runs the paper profile on default-depth rings.
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
     // Depth rounds up to a power of two within [kMinRingDepth, kMaxRingDepth].
     EXPECT_EQ(conn.ConfigureRing(10), 16u);
-    EXPECT_TRUE(conn.ring_enabled());
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
     EXPECT_EQ(conn.ring_depth(), 16u);
-    // Already enabled: the switch is one-shot, the current depth sticks.
+    // The negotiated ring is one-shot: its depth and profile stick.
     EXPECT_EQ(conn.ConfigureRing(256), 16u);
+    EXPECT_EQ(conn.ConfigureRing(256, kDefaultRingSpinBudget, RingProfile::kPaper), 16u);
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
     conn.Abort();
   }
   {
     FuseConn conn(&clock, &costs, 1);
-    EXPECT_EQ(conn.ConfigureRing(0), 0u) << "depth 0 opts out";
-    EXPECT_FALSE(conn.ring_enabled());
-    EXPECT_EQ(conn.ConfigureRing(1), kMinRingDepth);
-    EXPECT_EQ(conn.ConfigureRing(1 << 20), kMinRingDepth)
+    EXPECT_EQ(conn.ConfigureRing(0), 0u) << "depth 0 keeps the current rings";
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
+    // A mount that keeps the paper profile still sizes its rings: the depth
+    // is the in-flight ceiling under either profile.
+    EXPECT_EQ(conn.ConfigureRing(1, kDefaultRingSpinBudget, RingProfile::kPaper),
+              kMinRingDepth);
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
+    EXPECT_EQ(conn.ConfigureRing(1 << 20), kMaxRingDepth)
+        << "clamped to the width of the slot index";
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
+    EXPECT_EQ(conn.ConfigureRing(1), kMaxRingDepth)
         << "second switch refused: the established depth sticks";
-    EXPECT_EQ(conn.ring_depth(), kMinRingDepth);
     conn.Abort();
   }
+  {
+    // Only a quiet connection has its rings replaced: a queued entry would
+    // be stranded on the old ring.
+    FuseConn conn(&clock, &costs, 1);
+    conn.SendNoReply(ForgetFrom(5));
+    EXPECT_EQ(conn.ConfigureRing(16), 0u);
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
+    conn.Abort();
+  }
+}
+
+TEST(RingTransportTest, ParkedReaderPicksUpReplacedRings) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 2);
+  // A reader parks on the fresh connection's rings; replacing them must not
+  // free what it scans, and its next scan must find the new rings' traffic.
+  std::atomic<bool> got{false};
+  std::thread reader([&] {
+    std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+    got.store(!batch.empty() && batch.front().opcode == FuseOpcode::kForget);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(conn.ConfigureRing(32), 32u);
+  conn.SendNoReply(ForgetFrom(PidOnChannel(conn, 1)));
+  reader.join();
+  EXPECT_TRUE(got.load());
+  EXPECT_EQ(conn.queued_depth(), 0u);
+  conn.Abort();
 }
 
 TEST(RingTransportTest, OutOfOrderCompletionReachesTheRightWaiters) {
@@ -336,6 +379,52 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   conn.Abort();
 }
 
+TEST(RingTransportTest, QueuedDepthNeverWrapsUnderConcurrentReaps) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 1);
+  ASSERT_EQ(conn.ConfigureRing(64), 64u);
+
+  // Every SQE is counted before it is published, so a reaper's decrement
+  // never runs ahead of the submitter's increment: the depth stays within
+  // the ring plus one in-flight push per submitter, and never wraps.
+  constexpr int kSubmitters = 3;
+  constexpr int kPerSubmitter = 20'000;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> worst{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      uint64_t d = conn.queued_depth();
+      uint64_t w = worst.load();
+      while (d > w && !worst.compare_exchange_weak(w, d)) {
+      }
+    }
+  });
+  std::atomic<int> reaped{0};
+  std::thread reaper([&] {
+    while (reaped.load() < kSubmitters * kPerSubmitter) {
+      reaped.fetch_add(static_cast<int>(conn.TryReadRequestBatch(0).size()));
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        conn.SendNoReply(ForgetFrom(10 + t));
+      }
+    });
+  }
+  for (auto& t : submitters) {
+    t.join();
+  }
+  reaper.join();
+  done.store(true);
+  sampler.join();
+  EXPECT_LE(worst.load(), 64u + kSubmitters);
+  EXPECT_EQ(conn.queued_depth(), 0u);
+  conn.Abort();
+}
+
 // --- mount-level: negotiation, fallback, splice composition, faults ---
 
 class RingMountTest : public ::testing::Test {
@@ -441,42 +530,43 @@ class RingMountTest : public ::testing::Test {
 TEST_F(RingMountTest, NegotiationIsOnByDefaultAndOptOutStaysLegacy) {
   Mount(FuseMountOptions::Optimized());
   EXPECT_TRUE(fuse_fs_->ring_enabled());
-  EXPECT_TRUE(conn_->ring_enabled());
+  EXPECT_EQ(conn_->ring_profile(), RingProfile::kRing);
+  EXPECT_EQ(conn_->ring_depth(), kDefaultRingDepth);
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok());
-  EXPECT_GE(conn_->stats().reaped_requests, 1u) << "traffic rode the rings";
+  EXPECT_GE(conn_->stats().reaped_requests, 1u);
 
-  // Mount-side opt-out: the flag is never offered, the conn stays legacy.
+  // Mount-side opt-out: the flag is never offered, and the connection keeps
+  // the paper profile it was born with, on rings of the mount's depth.
   FuseMountOptions off = FuseMountOptions::Optimized();
   off.ring_enabled = false;
+  off.ring_depth = 128;
   Remount(off);
   EXPECT_FALSE(fuse_fs_->ring_enabled());
-  EXPECT_FALSE(conn_->ring_enabled());
+  EXPECT_EQ(conn_->ring_profile(), RingProfile::kPaper);
+  EXPECT_EQ(conn_->ring_depth(), 128u)
+      << "ring_depth is the in-flight ceiling under the paper profile too";
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok());
   auto stats = conn_->stats();
-  EXPECT_EQ(stats.reaps, 0u);
-  EXPECT_EQ(stats.doorbells, 0u);
+  EXPECT_GE(stats.reaped_requests, 1u) << "both profiles ride the same rings";
+  EXPECT_EQ(stats.max_reqs_per_reap, 1u) << "paper-profile reaps take one request";
+  EXPECT_EQ(stats.spin_parks, 0u) << "paper-profile waiters park without spinning";
 }
 
 TEST_F(RingMountTest, PaperConfigStaysOnWakeupPathBitIdentically) {
-  // Paper() pins rings off: the paper-era mount must produce the exact
-  // virtual timeline it produced before the ring transport existed — run
-  // the same workload on two fresh stacks and require equality.
+  // Paper() and Baseline() keep the paper profile, whose charges are the
+  // wakeup handshake's: each workload's virtual duration is pinned to the
+  // value a dedicated wakeup-handshake transport produces on the stock
+  // CostModel, so the Figure 2/4 reproductions keep their numbers.
   Mount(FuseMountOptions::Paper());
   EXPECT_FALSE(fuse_fs_->ring_enabled());
-  EXPECT_FALSE(conn_->ring_enabled());
-  uint64_t first = RunWorkload();
-  auto stats = conn_->stats();
-  EXPECT_EQ(stats.reaps, 0u);
-  EXPECT_EQ(stats.doorbells, 0u);
-  EXPECT_EQ(stats.spin_parks, 0u);
+  EXPECT_EQ(conn_->ring_profile(), RingProfile::kPaper);
+  EXPECT_EQ(RunWorkload(), 176'950u);
+  EXPECT_EQ(conn_->stats().spin_parks, 0u);
 
-  Remount(FuseMountOptions::Paper());
-  uint64_t second = RunWorkload();
-  EXPECT_EQ(first, second) << "paper-era wakeup path must stay deterministic";
-
-  // Baseline() opts out the same way.
   Remount(FuseMountOptions::Baseline());
   EXPECT_FALSE(fuse_fs_->ring_enabled());
+  EXPECT_EQ(conn_->ring_profile(), RingProfile::kPaper);
+  EXPECT_EQ(RunWorkload(), 224'100u);
 }
 
 TEST_F(RingMountTest, SplicePayloadsRideTheRingsAndLanesDrain) {

@@ -71,6 +71,13 @@ struct NormalizeCase {
   const char* expected;
 };
 
+// Prints a case as `"input" -> "expected"`. The test names are built from this
+// text, so it must not depend on where the literals land in memory (gtest's
+// default byte dump of the struct shows the two pointer values).
+void PrintTo(const NormalizeCase& c, std::ostream* os) {
+  *os << '"' << c.input << "\" -> \"" << c.expected << '"';
+}
+
 class NormalizePathTest : public ::testing::TestWithParam<NormalizeCase> {};
 
 TEST_P(NormalizePathTest, Normalizes) {
