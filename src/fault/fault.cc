@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include "src/analysis/lockdep.h"
+#include "src/obs/metrics.h"
 
 namespace cntr::fault {
 
@@ -39,7 +40,11 @@ std::vector<std::string> FaultRegistry::Points() {
   return out;
 }
 
-FaultRegistry::FaultRegistry(uint64_t seed) : rng_(seed) {}
+FaultRegistry::FaultRegistry(uint64_t seed, obs::MetricsRegistry* metrics) : rng_(seed) {
+  obs::MetricsRegistry& registry = metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();
+  total_hits_ = registry.GetCounter("cntr_fault_hits");
+  total_fired_ = registry.GetCounter("cntr_fault_fired");
+}
 
 void FaultRegistry::Arm(std::string_view point, FaultSpec spec) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
@@ -79,6 +84,7 @@ FaultHit FaultRegistry::Check(std::string_view point) {
   }
   Entry& e = it->second;
   ++e.hits;
+  total_hits_->Add();
   bool eligible;
   if (e.spec.fail_at != 0) {
     eligible = e.hits == e.spec.fail_at;
@@ -94,6 +100,7 @@ FaultHit FaultRegistry::Check(std::string_view point) {
     return FaultHit{};
   }
   ++e.fired;
+  total_fired_->Add();
   FaultHit hit;
   hit.fired = true;
   hit.action = e.spec.action;
@@ -116,24 +123,6 @@ uint64_t FaultRegistry::Fired(std::string_view point) const {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   auto it = entries_.find(point);
   return it == entries_.end() ? 0 : it->second.fired;
-}
-
-uint64_t FaultRegistry::TotalHits() const {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [name, entry] : entries_) {
-    total += entry.hits;
-  }
-  return total;
-}
-
-uint64_t FaultRegistry::TotalFired() const {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [name, entry] : entries_) {
-    total += entry.fired;
-  }
-  return total;
 }
 
 }  // namespace cntr::fault

@@ -27,6 +27,11 @@
 #include "src/util/rng.h"
 #include "src/analysis/lockdep.h"
 
+namespace cntr::obs {
+class Counter;
+class MetricsRegistry;
+}  // namespace cntr::obs
+
 namespace cntr::fault {
 
 enum class FaultAction {
@@ -61,7 +66,11 @@ struct FaultHit {
 
 class FaultRegistry {
  public:
-  explicit FaultRegistry(uint64_t seed = 0x5eedbeefULL);
+  static constexpr uint64_t kDefaultSeed = 0x5eedbeefULL;
+
+  // Hits and fires of every point count into `metrics` as
+  // cntr_fault_{hits,fired}; null falls back to MetricsRegistry::Global().
+  explicit FaultRegistry(uint64_t seed = kDefaultSeed, obs::MetricsRegistry* metrics = nullptr);
 
   FaultRegistry(const FaultRegistry&) = delete;
   FaultRegistry& operator=(const FaultRegistry&) = delete;
@@ -79,10 +88,6 @@ class FaultRegistry {
   uint64_t Hits(std::string_view point) const;
   // Times the point actually fired.
   uint64_t Fired(std::string_view point) const;
-  // Sums across every armed point — the observability rollup (exported as
-  // cntr_fault_{hits,fired} callback gauges by the Kernel).
-  uint64_t TotalHits() const;
-  uint64_t TotalFired() const;
   bool AnyArmed() const { return armed_.load(std::memory_order_relaxed) != 0; }
 
   // The catalogue of every injection point compiled into the stack, for
@@ -102,6 +107,10 @@ class FaultRegistry {
   mutable analysis::CheckedMutex mu_{"fault.registry"};
   std::map<std::string, Entry, std::less<>> entries_;
   Rng rng_;
+  // Monotonic totals over every point ever armed (Hits/Fired above restart
+  // on re-arm and vanish on disarm).
+  obs::Counter* total_hits_;
+  obs::Counter* total_fired_;
 };
 
 // Registers `point` in the static catalogue (used via CNTR_FAULT_POINT).

@@ -391,9 +391,6 @@ class FuseConn {
   void SetChannelSplice(size_t i, bool enabled) {
     Channel(i).splice_enabled.store(enabled, std::memory_order_release);
   }
-  bool channel_splice(size_t i) const {
-    return Channel(i).splice_enabled.load(std::memory_order_acquire);
-  }
 
   // Requests ever routed to channel `i`.
   uint64_t channel_requests(size_t i) const {

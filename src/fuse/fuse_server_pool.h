@@ -148,7 +148,6 @@ class FuseServerPool {
   int num_threads() const { return target_threads_.load(std::memory_order_acquire); }
   size_t num_mounts() const;
   uint64_t queued_depth() const;  // pool-wide, across serveable mounts
-  const std::string& pool_label() const { return label_; }
 
   struct PoolStats {
     uint64_t dispatches = 0;          // requests handled by pool workers

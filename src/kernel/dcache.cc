@@ -5,11 +5,17 @@
 
 namespace cntr::kernel {
 
-DentryCache::DentryCache(SimClock* clock, const CostModel* costs, size_t max_entries,
-                         size_t num_shards)
+DentryCache::DentryCache(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics,
+                         size_t max_entries, size_t num_shards)
     : clock_(clock),
       costs_(costs),
-      shards_(ClampShardCount(num_shards, max_entries)) {
+      shards_(ClampShardCount(num_shards, max_entries)),
+      hits_(metrics.GetCounter("cntr_dcache_hits")),
+      misses_(metrics.GetCounter("cntr_dcache_misses")),
+      expiries_(metrics.GetCounter("cntr_dcache_expiries")),
+      evictions_(metrics.GetCounter("cntr_dcache_evictions")),
+      negative_hits_(metrics.GetCounter("cntr_dcache_negative_hits")),
+      entries_(metrics.GetGauge("cntr_dcache_entries")) {
   max_per_shard_ = std::max<size_t>(1, max_entries / shards_.size());
   // Per-stripe lockdep subclass (see PageCachePool): shard index i gets
   // subclass i+1 so stripe 0 is distinct from the class's base node.
@@ -24,20 +30,21 @@ std::optional<InodePtr> DentryCache::LookupEntry(const Inode* dir, const std::st
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_->Add();
     return std::nullopt;
   }
   if (it->second.expiry_ns != UINT64_MAX && clock_->NowNs() >= it->second.expiry_ns) {
     shard.lru.erase(it->second.lru_it);
     shard.entries.erase(it);
-    expiries_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    entries_->Add(-1);
+    expiries_->Add();
+    misses_->Add();
     return std::nullopt;
   }
   if (it->second.child == nullptr) {
-    negative_hits_.fetch_add(1, std::memory_order_relaxed);
+    negative_hits_->Add();
   } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_->Add();
   }
   clock_->Advance(costs_->dcache_hit_ns);
   // LRU touch.
@@ -63,10 +70,12 @@ void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr chi
     // shrinker (scoped to the stripe, so eviction never takes other locks).
     shard.entries.erase(shard.lru.back());
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    entries_->Add(-1);
+    evictions_->Add();
   }
   shard.lru.push_front(key);
   shard.entries.emplace(std::move(key), Entry{std::move(child), expiry, shard.lru.begin()});
+  entries_->Add(1);
 }
 
 void DentryCache::Invalidate(const Inode* dir, const std::string& name) {
@@ -77,6 +86,7 @@ void DentryCache::Invalidate(const Inode* dir, const std::string& name) {
   if (it != shard.entries.end()) {
     shard.lru.erase(it->second.lru_it);
     shard.entries.erase(it);
+    entries_->Add(-1);
   }
 }
 
@@ -87,6 +97,7 @@ void DentryCache::InvalidateDir(const Inode* dir) {
       if (it->first.dir == dir) {
         shard.lru.erase(it->second.lru_it);
         it = shard.entries.erase(it);
+        entries_->Add(-1);
       } else {
         ++it;
       }
@@ -97,6 +108,7 @@ void DentryCache::InvalidateDir(const Inode* dir) {
 void DentryCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+    entries_->Add(-static_cast<int64_t>(shard.entries.size()));
     shard.entries.clear();
     shard.lru.clear();
   }

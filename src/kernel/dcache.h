@@ -8,11 +8,12 @@
 // compilebench-read (13.3x) and postmark (7.1x). READDIRPLUS (fuse_fs.h)
 // attacks the round trips; this cache is also lock-striped into shards with
 // per-shard LRU so concurrent lookups from many server/client threads do
-// not serialize on one mutex (the Figure 4 scaling path).
+// not serialize on one mutex (the Figure 4 scaling path). Its counters and
+// the entry-count gauge live in the kernel's metrics registry
+// (cntr_dcache_*).
 #ifndef CNTR_SRC_KERNEL_DCACHE_H_
 #define CNTR_SRC_KERNEL_DCACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "src/kernel/inode.h"
+#include "src/obs/metrics.h"
 #include "src/util/hash.h"
 #include "src/util/sim_clock.h"
 #include "src/analysis/lockdep.h"
@@ -30,8 +32,8 @@ namespace cntr::kernel {
 
 class DentryCache {
  public:
-  DentryCache(SimClock* clock, const CostModel* costs, size_t max_entries = 1 << 16,
-              size_t num_shards = 16);
+  DentryCache(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics,
+              size_t max_entries = 1 << 16, size_t num_shards = 16);
 
   // Returns the cached child and charges the dcache-hit cost; null on miss,
   // expiry, or a cached-negative entry (use LookupEntry to tell the last
@@ -62,10 +64,12 @@ class DentryCache {
   void InvalidateDir(const Inode* dir);
   void Clear();
 
+  // Sweeps every shard (the reference the entry gauge must match).
   size_t size() const;
   size_t num_shards() const { return shards_.size(); }
 
-  // Counters are atomics so reading statistics never contends with lookups.
+  // A view over the registry counters: reading it never contends with
+  // lookups.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -75,11 +79,11 @@ class DentryCache {
   };
   Stats stats() const {
     Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.expiries = expiries_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.negative_hits = negative_hits_.load(std::memory_order_relaxed);
+    s.hits = hits_->Value();
+    s.misses = misses_->Value();
+    s.expiries = expiries_->Value();
+    s.evictions = evictions_->Value();
+    s.negative_hits = negative_hits_->Value();
     return s;
   }
 
@@ -118,11 +122,13 @@ class DentryCache {
   size_t max_per_shard_;
   mutable std::vector<Shard> shards_;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> expiries_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> negative_hits_{0};
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* expiries_;
+  obs::Counter* evictions_;
+  obs::Counter* negative_hits_;
+  // Cached entries across all shards, updated under the shard lock.
+  obs::Gauge* entries_;
 };
 
 }  // namespace cntr::kernel

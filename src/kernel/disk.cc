@@ -6,54 +6,50 @@
 
 namespace cntr::kernel {
 
+DiskModel::DiskModel(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics,
+                     uint64_t capacity_bytes)
+    : clock_(clock),
+      costs_(costs),
+      capacity_bytes_(capacity_bytes),
+      read_ops_(metrics.GetCounter("cntr_disk_read_ops")),
+      write_ops_(metrics.GetCounter("cntr_disk_write_ops")),
+      flushes_(metrics.GetCounter("cntr_disk_flushes")),
+      bytes_read_(metrics.GetCounter("cntr_disk_bytes_read")),
+      bytes_written_(metrics.GetCounter("cntr_disk_bytes_written")) {}
+
 void DiskModel::ChargeRead(uint64_t bytes, uint32_t ops) {
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    stats_.read_ops += ops;
-    stats_.bytes_read += bytes;
-  }
+  read_ops_->Add(ops);
+  bytes_read_->Add(bytes);
   clock_->Advance(static_cast<uint64_t>(ops) * costs_->disk_op_ns +
                   bytes * costs_->disk_byte_ns_num / costs_->disk_byte_ns_den);
 }
 
 void DiskModel::ChargeWrite(uint64_t bytes, uint32_t ops) {
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    stats_.write_ops += ops;
-    stats_.bytes_written += bytes;
-  }
+  write_ops_->Add(ops);
+  bytes_written_->Add(bytes);
   clock_->Advance(static_cast<uint64_t>(ops) * costs_->disk_op_ns +
                   bytes * costs_->disk_byte_ns_num / costs_->disk_byte_ns_den);
 }
 
 void DiskModel::ChargeFlush() {
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    ++stats_.flushes;
-  }
+  flushes_->Add();
   clock_->Advance(costs_->disk_flush_ns);
 }
 
 void DiskModel::ChargeDirectWrite(uint64_t bytes, uint32_t ops) {
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    stats_.write_ops += ops;
-    stats_.bytes_written += bytes;
-  }
+  write_ops_->Add(ops);
+  bytes_written_->Add(bytes);
   clock_->Advance((static_cast<uint64_t>(ops) * costs_->disk_op_ns +
                    bytes * costs_->disk_byte_ns_num / costs_->disk_byte_ns_den) /
-                  direct_parallelism_);
+                  kDirectParallelism);
 }
 
 void DiskModel::ChargeParallelWrite(uint64_t bytes, uint32_t ops, uint32_t queue_depth) {
   if (queue_depth == 0) {
     queue_depth = 1;
   }
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    stats_.write_ops += ops;
-    stats_.bytes_written += bytes;
-  }
+  write_ops_->Add(ops);
+  bytes_written_->Add(bytes);
   clock_->Advance(static_cast<uint64_t>(ops) * costs_->disk_op_ns / queue_depth +
                   bytes * costs_->disk_byte_ns_num / costs_->disk_byte_ns_den);
 }

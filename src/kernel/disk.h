@@ -5,6 +5,8 @@
 // The store keeps whole-file byte vectors rather than raw blocks — block
 // layout does not affect any result the paper reports, but per-operation and
 // per-byte costs (and flush barriers) do, so those are modeled explicitly.
+// The transfer counters live in the kernel's metrics registry (cntr_disk_*),
+// so charging a transfer never takes the storage mutex.
 #ifndef CNTR_SRC_KERNEL_DISK_H_
 #define CNTR_SRC_KERNEL_DISK_H_
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/kernel/types.h"
+#include "src/obs/metrics.h"
 #include "src/util/sim_clock.h"
 #include "src/util/status.h"
 #include "src/analysis/lockdep.h"
@@ -23,8 +26,8 @@ namespace cntr::kernel {
 
 class DiskModel {
  public:
-  DiskModel(SimClock* clock, const CostModel* costs, uint64_t capacity_bytes)
-      : clock_(clock), costs_(costs), capacity_bytes_(capacity_bytes) {}
+  DiskModel(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics,
+            uint64_t capacity_bytes);
 
   // Charges the cost of reading `bytes` spread over `ops` device commands.
   void ChargeRead(uint64_t bytes, uint32_t ops);
@@ -38,10 +41,11 @@ class DiskModel {
 
   // Direct (O_DIRECT) transfers overlap at the device's effective queue
   // depth: network-attached volumes like EBS stripe across backends, so both
-  // fixed and streaming costs divide by the parallelism (AIO-Stress §5.2.2).
+  // fixed and streaming costs divide by kDirectParallelism (AIO-Stress
+  // §5.2.2).
   void ChargeDirectWrite(uint64_t bytes, uint32_t ops);
-  void SetDirectParallelism(uint32_t p) { direct_parallelism_ = p == 0 ? 1 : p; }
 
+  // A view over the registry counters.
   struct Stats {
     uint64_t read_ops = 0;
     uint64_t write_ops = 0;
@@ -50,12 +54,13 @@ class DiskModel {
     uint64_t bytes_written = 0;
   };
   Stats stats() const {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    stats_ = Stats{};
+    Stats s;
+    s.read_ops = read_ops_->Value();
+    s.write_ops = write_ops_->Value();
+    s.flushes = flushes_->Value();
+    s.bytes_read = bytes_read_->Value();
+    s.bytes_written = bytes_written_->Value();
+    return s;
   }
 
   uint64_t capacity_bytes() const { return capacity_bytes_; }
@@ -70,14 +75,19 @@ class DiskModel {
   uint64_t TotalStoredBytes() const;
 
  private:
+  static constexpr uint32_t kDirectParallelism = 3;
+
   SimClock* clock_;
   const CostModel* costs_;
   uint64_t capacity_bytes_;
-  uint32_t direct_parallelism_ = 3;
+  obs::Counter* read_ops_;
+  obs::Counter* write_ops_;
+  obs::Counter* flushes_;
+  obs::Counter* bytes_read_;
+  obs::Counter* bytes_written_;
 
   mutable analysis::CheckedMutex mu_{"kernel.disk"};
   std::unordered_map<Ino, std::vector<char>> data_;
-  Stats stats_;
 };
 
 }  // namespace cntr::kernel

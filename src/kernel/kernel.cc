@@ -52,42 +52,11 @@ std::unique_ptr<Kernel> Kernel::Create(Config config) {
 }
 
 Kernel::Kernel(Config config) : config_(std::move(config)) {
-  page_cache_ = std::make_unique<PageCachePool>(&clock_, &config_.costs,
+  page_cache_ = std::make_unique<PageCachePool>(&clock_, &config_.costs, metrics_,
                                                 config_.page_cache_capacity);
-  disk_ = std::make_unique<DiskModel>(&clock_, &config_.costs, config_.disk_capacity);
-  dcache_ = std::make_unique<DentryCache>(&clock_, &config_.costs);
-  splice_engine_ = std::make_unique<splice::SpliceEngine>(&clock_, &config_.costs);
-
-  // Export the subsystem counters as exposition-time callbacks: the
-  // subsystems keep their own atomics (zero hot-path change), and the
-  // registry samples them whenever /proc/cntr/metrics or a bench snapshot
-  // asks. The subsystems are kernel members, so they outlive every render.
-  auto cb = [this](const char* name, std::function<double()> fn) {
-    metrics_.AddCallback(name, {}, std::move(fn));
-  };
-  cb("cntr_page_cache_hits", [this] { return double(page_cache_->stats().hits); });
-  cb("cntr_page_cache_misses", [this] { return double(page_cache_->stats().misses); });
-  cb("cntr_page_cache_evictions", [this] { return double(page_cache_->stats().evictions); });
-  cb("cntr_page_cache_ref_steals", [this] { return double(page_cache_->stats().ref_steals); });
-  cb("cntr_page_cache_ref_aliases", [this] { return double(page_cache_->stats().ref_aliases); });
-  cb("cntr_page_cache_ref_copies", [this] { return double(page_cache_->stats().ref_copies); });
-  cb("cntr_page_cache_cow_breaks", [this] { return double(page_cache_->stats().cow_breaks); });
-  cb("cntr_page_cache_resident_bytes", [this] { return double(page_cache_->ResidentBytes()); });
-  cb("cntr_page_cache_dirty_bytes", [this] { return double(page_cache_->TotalDirtyBytes()); });
-  cb("cntr_dcache_hits", [this] { return double(dcache_->stats().hits); });
-  cb("cntr_dcache_misses", [this] { return double(dcache_->stats().misses); });
-  cb("cntr_dcache_expiries", [this] { return double(dcache_->stats().expiries); });
-  cb("cntr_dcache_evictions", [this] { return double(dcache_->stats().evictions); });
-  cb("cntr_dcache_negative_hits", [this] { return double(dcache_->stats().negative_hits); });
-  cb("cntr_dcache_entries", [this] { return double(dcache_->size()); });
-  cb("cntr_disk_read_ops", [this] { return double(disk_->stats().read_ops); });
-  cb("cntr_disk_write_ops", [this] { return double(disk_->stats().write_ops); });
-  cb("cntr_disk_flushes", [this] { return double(disk_->stats().flushes); });
-  cb("cntr_disk_bytes_read", [this] { return double(disk_->stats().bytes_read); });
-  cb("cntr_disk_bytes_written", [this] { return double(disk_->stats().bytes_written); });
-  cb("cntr_fault_hits", [this] { return double(faults_.TotalHits()); });
-  cb("cntr_fault_fired", [this] { return double(faults_.TotalFired()); });
-  splice_engine_->ExportTo(metrics_);
+  disk_ = std::make_unique<DiskModel>(&clock_, &config_.costs, metrics_, config_.disk_capacity);
+  dcache_ = std::make_unique<DentryCache>(&clock_, &config_.costs, metrics_);
+  splice_engine_ = std::make_unique<splice::SpliceEngine>(&clock_, &config_.costs, metrics_);
 }
 
 Kernel::~Kernel() {

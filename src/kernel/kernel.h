@@ -280,8 +280,9 @@ class Kernel {
 
   Config config_;
   SimClock clock_;
-  // Declared before the subsystems that register instruments in it, so it
-  // outlives every pointer they resolved (members destroy in reverse order).
+  // Declared before the subsystems that count into it (the caches, disk,
+  // splice engine and faults_ below), so it outlives every instrument
+  // pointer they resolved (members destroy in reverse order).
   obs::MetricsRegistry metrics_;
   std::unique_ptr<PageCachePool> page_cache_;
   std::unique_ptr<DiskModel> disk_;
@@ -302,7 +303,7 @@ class Kernel {
   analysis::CheckedMutex exit_hooks_mu_{"kernel.exit_hooks"};
   std::vector<std::function<void(const Process&)>> exit_hooks_;
 
-  fault::FaultRegistry faults_;
+  fault::FaultRegistry faults_{fault::FaultRegistry::kDefaultSeed, &metrics_};
 
   analysis::CheckedMutex sockets_mu_{"kernel.sockets"};
   std::unordered_map<const Inode*, std::shared_ptr<ListeningSocket>> bound_sockets_;

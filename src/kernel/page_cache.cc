@@ -6,12 +6,26 @@
 
 namespace cntr::kernel {
 
-PageCachePool::PageCachePool(SimClock* clock, const CostModel* costs, uint64_t capacity_bytes,
+namespace {
+constexpr int64_t kPageBytes = kPageSize;
+}  // namespace
+
+PageCachePool::PageCachePool(SimClock* clock, const CostModel* costs,
+                             obs::MetricsRegistry& metrics, uint64_t capacity_bytes,
                              size_t num_shards)
     : clock_(clock),
       costs_(costs),
       capacity_bytes_(capacity_bytes),
-      shards_(ClampShardCount(num_shards, capacity_bytes / kPageSize)) {
+      shards_(ClampShardCount(num_shards, capacity_bytes / kPageSize)),
+      hits_(metrics.GetCounter("cntr_page_cache_hits")),
+      misses_(metrics.GetCounter("cntr_page_cache_misses")),
+      evictions_(metrics.GetCounter("cntr_page_cache_evictions")),
+      ref_steals_(metrics.GetCounter("cntr_page_cache_ref_steals")),
+      ref_aliases_(metrics.GetCounter("cntr_page_cache_ref_aliases")),
+      ref_copies_(metrics.GetCounter("cntr_page_cache_ref_copies")),
+      cow_breaks_(metrics.GetCounter("cntr_page_cache_cow_breaks")),
+      resident_bytes_(metrics.GetGauge("cntr_page_cache_resident_bytes")),
+      dirty_bytes_(metrics.GetGauge("cntr_page_cache_dirty_bytes")) {
   capacity_per_shard_ = std::max<uint64_t>(kPageSize, capacity_bytes_ / shards_.size());
   // Per-stripe lockdep subclass: index-ordered same-class nesting (e.g. a
   // full-pool sweep) stays legal while out-of-order pairs still report.
@@ -26,10 +40,10 @@ bool PageCachePool::ReadPage(CacheOwner owner, uint64_t idx, char* out) {
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.pages.find(key);
   if (it == shard.pages.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_->Add();
     return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  hits_->Add();
   clock_->Advance(costs_->page_cache_hit_ns);
   std::memcpy(out, it->second.data.get(), kPageSize);
   TouchLocked(shard, it->second, it->first);
@@ -57,6 +71,7 @@ bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, 
     page.dirty = dirty;
     page.gen = dirty ? 1 : 0;
     shard.pages.emplace(key, std::move(page));
+    resident_bytes_->Add(kPageBytes);
   } else {
     EnsureExclusiveLocked(it->second, /*preserve_content=*/false);
     std::memcpy(it->second.data.get(), data, kPageSize);
@@ -72,7 +87,7 @@ bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, 
   }
   if (dirty) {
     shard.dirty[owner][idx] = true;
-    dirty_bytes_total_.fetch_add(kPageSize, std::memory_order_relaxed);
+    dirty_bytes_->Add(kPageBytes);
   }
   EvictIfNeededLocked(shard);
   return dirty;
@@ -97,7 +112,7 @@ PageCachePool::UpdateResult PageCachePool::UpdatePage(CacheOwner owner, uint64_t
   if (mark_dirty && !it->second.dirty) {
     it->second.dirty = true;
     shard.dirty[owner][idx] = true;
-    dirty_bytes_total_.fetch_add(kPageSize, std::memory_order_relaxed);
+    dirty_bytes_->Add(kPageBytes);
     return UpdateResult::kNewlyDirty;
   }
   return UpdateResult::kUpdated;
@@ -125,13 +140,14 @@ void PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
     for (auto it = shard.pages.begin(); it != shard.pages.end();) {
       if (it->first.owner == owner && it->first.idx >= first_dropped) {
         if (it->second.dirty) {
-          dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
+          dirty_bytes_->Add(-kPageBytes);
           if (dit != shard.dirty.end()) {
             dit->second.erase(it->first.idx);
           }
         }
         shard.lru.erase(it->second.lru_it);
         it = shard.pages.erase(it);
+        resident_bytes_->Add(-kPageBytes);
       } else {
         ++it;
       }
@@ -155,7 +171,7 @@ bool PageCachePool::MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen)
     return false;  // re-dirtied since the flusher's snapshot: stays dirty
   }
   it->second.dirty = false;
-  dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
+  dirty_bytes_->Add(-kPageBytes);
   auto dit = shard.dirty.find(owner);
   if (dit != shard.dirty.end()) {
     dit->second.erase(idx);
@@ -172,7 +188,7 @@ void PageCachePool::Drop(CacheOwner owner, uint64_t idx) {
     return;
   }
   if (it->second.dirty) {
-    dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
+    dirty_bytes_->Add(-kPageBytes);
     auto dit = shard.dirty.find(owner);
     if (dit != shard.dirty.end()) {
       dit->second.erase(idx);
@@ -180,6 +196,7 @@ void PageCachePool::Drop(CacheOwner owner, uint64_t idx) {
   }
   shard.lru.erase(it->second.lru_it);
   shard.pages.erase(it);
+  resident_bytes_->Add(-kPageBytes);
 }
 
 void PageCachePool::DropAll(CacheOwner owner) {
@@ -188,10 +205,11 @@ void PageCachePool::DropAll(CacheOwner owner) {
     for (auto it = shard.pages.begin(); it != shard.pages.end();) {
       if (it->first.owner == owner) {
         if (it->second.dirty) {
-          dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
+          dirty_bytes_->Add(-kPageBytes);
         }
         shard.lru.erase(it->second.lru_it);
         it = shard.pages.erase(it);
+        resident_bytes_->Add(-kPageBytes);
       } else {
         ++it;
       }
@@ -207,6 +225,7 @@ void PageCachePool::DropAllClean() {
       if (!it->second.dirty) {
         shard.lru.erase(it->second.lru_it);
         it = shard.pages.erase(it);
+        resident_bytes_->Add(-kPageBytes);
       } else {
         ++it;
       }
@@ -259,10 +278,6 @@ uint64_t PageCachePool::DirtyBytes(CacheOwner owner) const {
   return total;
 }
 
-uint64_t PageCachePool::TotalDirtyBytes() const {
-  return dirty_bytes_total_.load(std::memory_order_relaxed);
-}
-
 uint64_t PageCachePool::ResidentBytes() const {
   uint64_t total = 0;
   for (Shard& shard : shards_) {
@@ -279,10 +294,10 @@ std::optional<splice::PageRef> PageCachePool::GetPageRef(CacheOwner owner, uint6
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.pages.find(key);
   if (it == shard.pages.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_->Add();
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  hits_->Add();
   // The remap out of the cache, not a copy: splice rate, not hit+copy.
   clock_->Advance(costs_->splice_page_ns);
   TouchLocked(shard, it->second, it->first);
@@ -303,11 +318,11 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
   if (ref.valid() && ref.len == kPageSize && ref.unique()) {
     install = ref.page;
     result.mode = StoreRefMode::kStolen;
-    ref_steals_.fetch_add(1, std::memory_order_relaxed);
+    ref_steals_->Add();
   } else if (ref.valid() && ref.len == kPageSize && allow_alias) {
     install = ref.page;
     result.mode = StoreRefMode::kAliased;
-    ref_aliases_.fetch_add(1, std::memory_order_relaxed);
+    ref_aliases_->Add();
   } else {
     // Copy fallback: short page, or shared without alias permission.
     install = std::make_shared<char[]>(kPageSize);
@@ -315,7 +330,7 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
       std::memcpy(install.get(), ref.data(), ref.len);
     }
     result.mode = StoreRefMode::kCopied;
-    ref_copies_.fetch_add(1, std::memory_order_relaxed);
+    ref_copies_->Add();
   }
 
   Key key{owner, idx};
@@ -331,6 +346,7 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
     page.dirty = dirty;
     page.gen = dirty ? 1 : 0;
     shard.pages.emplace(key, std::move(page));
+    resident_bytes_->Add(kPageBytes);
   } else {
     it->second.data = std::move(install);
     bool was_dirty = it->second.dirty;
@@ -345,7 +361,7 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
   }
   if (count_dirty) {
     shard.dirty[owner][idx] = true;
-    dirty_bytes_total_.fetch_add(kPageSize, std::memory_order_relaxed);
+    dirty_bytes_->Add(kPageBytes);
   }
   EvictIfNeededLocked(shard);
   result.newly_dirty = count_dirty;
@@ -365,7 +381,8 @@ std::optional<splice::PageRef> PageCachePool::StealPage(CacheOwner owner, uint64
   ref.len = kPageSize;
   shard.lru.erase(it->second.lru_it);
   shard.pages.erase(it);
-  ref_steals_.fetch_add(1, std::memory_order_relaxed);
+  resident_bytes_->Add(-kPageBytes);
+  ref_steals_->Add();
   clock_->Advance(costs_->splice_page_ns);
   return ref;
 }
@@ -382,7 +399,7 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
     std::memcpy(fresh.get(), page.data.get(), kPageSize);
   }
   page.data = std::move(fresh);
-  cow_breaks_.fetch_add(1, std::memory_order_relaxed);
+  cow_breaks_->Add();
   clock_->Advance(costs_->copy_page_ns);
 }
 
@@ -413,7 +430,8 @@ void PageCachePool::EvictIfNeededLocked(Shard& shard) {
     }
     shard.pages.erase(*victim);
     shard.lru.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_->Add();
+    resident_bytes_->Add(-kPageBytes);
   }
 }
 

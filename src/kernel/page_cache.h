@@ -17,10 +17,12 @@
 // on release), at which point they become clean and evictable. The pool may
 // transiently exceed capacity if everything is dirty, exactly like a kernel
 // under writeback pressure.
+//
+// Counters and the resident/dirty byte gauges live in the kernel's metrics
+// registry (cntr_page_cache_*); stats() and TotalDirtyBytes() read them back.
 #ifndef CNTR_SRC_KERNEL_PAGE_CACHE_H_
 #define CNTR_SRC_KERNEL_PAGE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "src/kernel/types.h"
+#include "src/obs/metrics.h"
 #include "src/splice/page_ref.h"
 #include "src/util/hash.h"
 #include "src/util/sim_clock.h"
@@ -46,8 +49,8 @@ using CacheOwner = const void*;
 
 class PageCachePool {
  public:
-  PageCachePool(SimClock* clock, const CostModel* costs, uint64_t capacity_bytes,
-                size_t num_shards = 16);
+  PageCachePool(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics,
+                uint64_t capacity_bytes, size_t num_shards = 16);
 
   // Copies a cached page into `out` (kPageSize bytes). Returns false on miss.
   // Charges the page-cache-hit cost on hit.
@@ -134,13 +137,15 @@ class PageCachePool {
   std::optional<splice::PageRef> StealPage(CacheOwner owner, uint64_t idx);
 
   uint64_t DirtyBytes(CacheOwner owner) const;
-  uint64_t TotalDirtyBytes() const;
+  // One gauge load: writeback-threshold checks poll it on the write path.
+  uint64_t TotalDirtyBytes() const { return static_cast<uint64_t>(dirty_bytes_->Value()); }
+  // Sweeps every shard (the reference the resident-bytes gauge must match).
   uint64_t ResidentBytes() const;
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   size_t num_shards() const { return shards_.size(); }
 
-  // Counters are atomics so reading statistics never contends with the I/O
-  // hot path.
+  // A view over the registry counters: reading it never contends with the
+  // I/O hot path.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -153,13 +158,13 @@ class PageCachePool {
   };
   Stats stats() const {
     Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.ref_steals = ref_steals_.load(std::memory_order_relaxed);
-    s.ref_aliases = ref_aliases_.load(std::memory_order_relaxed);
-    s.ref_copies = ref_copies_.load(std::memory_order_relaxed);
-    s.cow_breaks = cow_breaks_.load(std::memory_order_relaxed);
+    s.hits = hits_->Value();
+    s.misses = misses_->Value();
+    s.evictions = evictions_->Value();
+    s.ref_steals = ref_steals_->Value();
+    s.ref_aliases = ref_aliases_->Value();
+    s.ref_copies = ref_copies_->Value();
+    s.cow_breaks = cow_breaks_->Value();
     return s;
   }
 
@@ -213,17 +218,17 @@ class PageCachePool {
   uint64_t capacity_per_shard_;
   mutable std::vector<Shard> shards_;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> ref_steals_{0};
-  std::atomic<uint64_t> ref_aliases_{0};
-  std::atomic<uint64_t> ref_copies_{0};
-  std::atomic<uint64_t> cow_breaks_{0};
-  // Pool-wide dirty total kept as one atomic so TotalDirtyBytes() — polled
-  // on the write hot path by writeback-threshold checks — is a single load
-  // instead of a sweep over every shard lock.
-  std::atomic<uint64_t> dirty_bytes_total_{0};
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
+  obs::Counter* ref_steals_;
+  obs::Counter* ref_aliases_;
+  obs::Counter* ref_copies_;
+  obs::Counter* cow_breaks_;
+  // Pool-wide totals, updated under the shard lock wherever a page enters
+  // or leaves the cache (resident) or flips its dirty bit (dirty).
+  obs::Gauge* resident_bytes_;
+  obs::Gauge* dirty_bytes_;
 };
 
 // Coalesces a sorted list of page indexes into contiguous extents; returns

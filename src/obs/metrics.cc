@@ -203,8 +203,6 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(std::string_view name,
     case Kind::kHistogram:
       e.histogram = std::make_unique<Histogram>();
       break;
-    case Kind::kCallback:
-      break;
   }
   return &e;
 }
@@ -234,56 +232,7 @@ uint64_t MetricsRegistry::AllocScope(std::string_view kind) {
   return it->second++;
 }
 
-uint64_t MetricsRegistry::AddCallback(std::string_view name, Labels labels,
-                                      std::function<double()> fn) {
-  std::string key = SeriesKey(name, labels);
-  std::lock_guard<analysis::CheckedMutex> cb_lock(callbacks_mu_);
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  Entry& e = series_[key];
-  e.kind = Kind::kCallback;
-  e.name = std::string(name);
-  e.callback = std::move(fn);
-  e.handle = next_handle_++;
-  return e.handle;
-}
-
-void MetricsRegistry::RemoveCallback(uint64_t handle) {
-  // callbacks_mu_ makes removal a barrier: any exposition pass sampling
-  // this callback has finished before erase, so the caller may die.
-  std::lock_guard<analysis::CheckedMutex> cb_lock(callbacks_mu_);
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  for (auto it = series_.begin(); it != series_.end(); ++it) {
-    if (it->second.kind == Kind::kCallback && it->second.handle == handle) {
-      series_.erase(it);
-      return;
-    }
-  }
-}
-
-std::map<std::string, double> MetricsRegistry::SampleCallbacksLocked() const {
-  // Copy the functions out under mu_, invoke them with mu_ released: the
-  // callbacks take subsystem locks that instrumented paths hold while
-  // recording here. Entries added or removed between the copy and the
-  // format pass render as 0 / skip for one exposition — benign.
-  std::vector<std::pair<std::string, std::function<double()>>> cbs;
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    for (const auto& [key, e] : series_) {
-      if (e.kind == Kind::kCallback && e.callback) {
-        cbs.emplace_back(key, e.callback);
-      }
-    }
-  }
-  std::map<std::string, double> values;
-  for (auto& [key, fn] : cbs) {
-    values[key] = fn();
-  }
-  return values;
-}
-
 std::string MetricsRegistry::RenderPrometheus() const {
-  std::lock_guard<analysis::CheckedMutex> cb_lock(callbacks_mu_);
-  const std::map<std::string, double> cb_values = SampleCallbacksLocked();
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   // Group series by family so each family gets exactly one # TYPE line
   // (the map is sorted by full key, which can interleave families).
@@ -314,12 +263,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
           out += key;
           out += line;
           break;
-        case Kind::kCallback: {
-          auto v = cb_values.find(key);
-          out += key;
-          out += " " + FormatDouble(v == cb_values.end() ? 0.0 : v->second) + "\n";
-          break;
-        }
         case Kind::kHistogram: {
           Histogram::Snapshot snap = e.histogram->Snap();
           uint64_t cum = 0;
@@ -356,8 +299,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
 }
 
 std::string MetricsRegistry::SnapshotJson() const {
-  std::lock_guard<analysis::CheckedMutex> cb_lock(callbacks_mu_);
-  const std::map<std::string, double> cb_values = SampleCallbacksLocked();
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   std::string counters, gauges, hists;
   char num[64];
@@ -375,13 +316,6 @@ std::string MetricsRegistry::SnapshotJson() const {
         std::snprintf(num, sizeof(num), ":%" PRId64, e.gauge->Value());
         gauges += num;
         break;
-      case Kind::kCallback: {
-        auto v = cb_values.find(key);
-        if (!gauges.empty()) gauges += ",";
-        AppendJsonString(&gauges, key);
-        gauges += ":" + FormatDouble(v == cb_values.end() ? 0.0 : v->second);
-        break;
-      }
       case Kind::kHistogram: {
         Histogram::Snapshot snap = e.histogram->Snap();
         if (!hists.empty()) hists += ",";

@@ -22,13 +22,18 @@
 // instruments at construction and keep raw pointers on the hot path. Series
 // identity is name + label set (Prometheus style); per-mount/per-tenant
 // rollup keys ride in labels (e.g. mount="m0").
+//
+// The registry is the only counter store: subsystems count straight into
+// their instruments, and a subsystem's Stats struct is a view over
+// Value() reads. Exposition therefore only loads atomics under the
+// registry mutex and never calls back into subsystem code, so rendering
+// cannot join a lock-order cycle with the paths that record here.
 #ifndef CNTR_SRC_OBS_METRICS_H_
 #define CNTR_SRC_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -156,14 +161,6 @@ class MetricsRegistry {
   // mount of a kernel exports a distinct, stable series.
   uint64_t AllocScope(std::string_view kind);
 
-  // Read-only view of a subsystem that keeps its own state: `fn` is
-  // sampled at exposition time (RenderPrometheus/SnapshotJson), so legacy
-  // Stats structs join the export surface without hot-path changes.
-  // Returns a handle for RemoveCallback (callers whose lifetime is shorter
-  // than the registry's must unregister before dying).
-  uint64_t AddCallback(std::string_view name, Labels labels, std::function<double()> fn);
-  void RemoveCallback(uint64_t handle);
-
   // Prometheus text exposition: # TYPE lines, one series per line,
   // histograms as cumulative le-buckets plus _sum/_count plus p50/p95/p99
   // quantile lines. Deterministic order (sorted by series key).
@@ -174,38 +171,22 @@ class MetricsRegistry {
   std::string SnapshotJson() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallback };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
     Kind kind;
     std::string name;  // family name (key minus the label block)
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<double()> callback;
-    uint64_t handle = 0;  // callbacks only
   };
 
   Entry* FindOrCreate(std::string_view name, const Labels& labels, Kind kind);
 
-  // Samples every registered callback with mu_ NOT held. Callbacks call
-  // into their owning subsystems (dcache shards, page-cache stats, ...),
-  // and instrumented request paths record into this registry while holding
-  // those same subsystem locks — invoking a callback under mu_ closes a
-  // real deadlock cycle (render thread: mu_ -> shard; request thread:
-  // shard -> ... -> mu_). Requires callbacks_mu_ held, which serializes
-  // sampling against RemoveCallback so a removed callback is never
-  // mid-flight after removal returns.
-  std::map<std::string, double> SampleCallbacksLocked() const;
-
-  // Ordering: callbacks_mu_ before mu_, never the reverse. Held across
-  // callback registration/removal and across exposition-time sampling.
-  mutable analysis::CheckedMutex callbacks_mu_{"obs.metrics.callbacks"};
   mutable analysis::CheckedMutex mu_{"obs.metrics.registry"};
   // Keyed by the full series string name{k="v",...}; std::map keeps the
   // exposition deterministic.
   std::map<std::string, Entry> series_;
   std::map<std::string, uint64_t, std::less<>> scopes_;
-  uint64_t next_handle_ = 1;
 };
 
 // Builds the canonical series key name{k="v",...} (no braces when empty).

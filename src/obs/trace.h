@@ -47,7 +47,7 @@ namespace cntr::obs {
 
 // Process-wide tracing gate (default on). Turning it off skips span
 // allocation and histogram recording but never the plain counters, so the
-// legacy Stats accessors keep working either way. The bench suite uses the
+// Stats views over them keep working either way. The bench suite uses the
 // off state as the overhead-guard baseline.
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);

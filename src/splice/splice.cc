@@ -2,13 +2,19 @@
 
 #include <algorithm>
 
-#include "src/obs/metrics.h"
-
 namespace cntr::splice {
 
 using kernel::kPageSize;
 using kernel::PipeBuffer;
 using kernel::PipeSegment;
+
+SpliceEngine::SpliceEngine(SimClock* clock, const CostModel* costs,
+                           obs::MetricsRegistry& metrics)
+    : clock_(clock),
+      costs_(costs),
+      spliced_pages_(metrics.GetCounter("cntr_splice_spliced_pages")),
+      copied_pages_(metrics.GetCounter("cntr_splice_copied_pages")),
+      teed_pages_(metrics.GetCounter("cntr_splice_teed_pages")) {}
 
 std::vector<PipeSegment> SpliceEngine::WrapBuffer(const char* buf, size_t len, bool gift) {
   // Pure chopper: no cost here — transfer costs are charged by the caller
@@ -33,10 +39,10 @@ StatusOr<size_t> SpliceEngine::VmspliceIn(PipeBuffer& pipe, const char* buf, siz
   uint64_t pages = (pushed + kPageSize - 1) / kPageSize;
   if (gift) {
     clock_->Advance(pages * costs_->splice_page_ns);
-    spliced_pages_.fetch_add(pages, std::memory_order_relaxed);
+    spliced_pages_->Add(pages);
   } else {
     clock_->Advance(pages * costs_->copy_page_ns);
-    copied_pages_.fetch_add(pages, std::memory_order_relaxed);
+    copied_pages_->Add(pages);
   }
   return pushed;
 }
@@ -73,7 +79,7 @@ StatusOr<size_t> SpliceEngine::MovePipeToPipe(PipeBuffer& in, PipeBuffer& out, s
     ++pages;
   }
   clock_->Advance(pages * costs_->splice_page_ns);
-  spliced_pages_.fetch_add(pages, std::memory_order_relaxed);
+  spliced_pages_->Add(pages);
   return moved;
 }
 
@@ -81,20 +87,8 @@ StatusOr<size_t> SpliceEngine::Tee(PipeBuffer& in, PipeBuffer& out, size_t len, 
   CNTR_ASSIGN_OR_RETURN(size_t teed, in.TeeTo(out, len, nonblock));
   uint64_t pages = (teed + kPageSize - 1) / kPageSize;
   clock_->Advance(pages * costs_->splice_page_ns);
-  teed_pages_.fetch_add(pages, std::memory_order_relaxed);
+  teed_pages_->Add(pages);
   return teed;
-}
-
-void SpliceEngine::ExportTo(obs::MetricsRegistry& registry) {
-  registry.AddCallback("cntr_splice_spliced_pages", {}, [this] {
-    return static_cast<double>(spliced_pages_.load(std::memory_order_relaxed));
-  });
-  registry.AddCallback("cntr_splice_copied_pages", {}, [this] {
-    return static_cast<double>(copied_pages_.load(std::memory_order_relaxed));
-  });
-  registry.AddCallback("cntr_splice_teed_pages", {}, [this] {
-    return static_cast<double>(teed_pages_.load(std::memory_order_relaxed));
-  });
 }
 
 }  // namespace cntr::splice

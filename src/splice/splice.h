@@ -13,28 +13,25 @@
 //
 // Cost model: moving a page reference costs splice_page_ns; every fallback
 // to a byte copy costs copy_page_ns. The engine charges the calling
-// thread's virtual timeline and keeps aggregate counters so benches and
-// tests can see how much traffic really avoided the copy.
+// thread's virtual timeline and counts pages into the kernel's metrics
+// registry (cntr_splice_*), so benches and tests can see how much traffic
+// really avoided the copy.
 #ifndef CNTR_SRC_SPLICE_SPLICE_H_
 #define CNTR_SRC_SPLICE_SPLICE_H_
 
-#include <atomic>
 #include <vector>
 
 #include "src/kernel/pipe.h"
+#include "src/obs/metrics.h"
 #include "src/splice/page_ref.h"
 #include "src/util/sim_clock.h"
 #include "src/util/status.h"
-
-namespace cntr::obs {
-class MetricsRegistry;
-}
 
 namespace cntr::splice {
 
 class SpliceEngine {
  public:
-  SpliceEngine(SimClock* clock, const CostModel* costs) : clock_(clock), costs_(costs) {}
+  SpliceEngine(SimClock* clock, const CostModel* costs, obs::MetricsRegistry& metrics);
 
   SpliceEngine(const SpliceEngine&) = delete;
   SpliceEngine& operator=(const SpliceEngine&) = delete;
@@ -61,6 +58,7 @@ class SpliceEngine {
   StatusOr<size_t> Tee(kernel::PipeBuffer& in, kernel::PipeBuffer& out, size_t len,
                        bool nonblock);
 
+  // A view over the registry counters.
   struct Stats {
     uint64_t spliced_pages = 0;  // page references moved without copy
     uint64_t copied_pages = 0;   // copy fallbacks through the engine
@@ -68,23 +66,18 @@ class SpliceEngine {
   };
   Stats stats() const {
     Stats s;
-    s.spliced_pages = spliced_pages_.load(std::memory_order_relaxed);
-    s.copied_pages = copied_pages_.load(std::memory_order_relaxed);
-    s.teed_pages = teed_pages_.load(std::memory_order_relaxed);
+    s.spliced_pages = spliced_pages_->Value();
+    s.copied_pages = copied_pages_->Value();
+    s.teed_pages = teed_pages_->Value();
     return s;
   }
-
-  // Registers this engine's counters on `registry` as exposition-time
-  // callbacks (cntr_splice_*); the engine must outlive the registry's
-  // renders, which the Kernel's member order guarantees.
-  void ExportTo(obs::MetricsRegistry& registry);
 
  private:
   SimClock* clock_;
   const CostModel* costs_;
-  std::atomic<uint64_t> spliced_pages_{0};
-  std::atomic<uint64_t> copied_pages_{0};
-  std::atomic<uint64_t> teed_pages_{0};
+  obs::Counter* spliced_pages_;
+  obs::Counter* copied_pages_;
+  obs::Counter* teed_pages_;
 };
 
 }  // namespace cntr::splice

@@ -1,4 +1,4 @@
-// Regression tests for the three real wait-cycle findings the lockdep
+// Regression tests for the four real wait-cycle findings the lockdep
 // validator flagged when the Checked* wrappers were first adopted (each ran
 // as a hard deadlock *shape*, benign only because reshape_mu_'s exclusive
 // side happens to be try-lock-only today):
@@ -15,9 +15,11 @@
 //      which the same pass also holds while blocking on queued_depth()'s
 //      reshape_mu_ (reshape ~> reply_cv ~> controller_pass ~> reshape).
 //   4. MetricsRegistry exposition invoked sampling callbacks under the
-//      registry mutex; callbacks take subsystem locks (dcache shards,
-//      page-cache stats) that instrumented request paths hold while
+//      registry mutex; callbacks took subsystem locks (dcache shards,
+//      page-cache shards) that instrumented request paths hold while
 //      recording into the registry (registry ~> shard vs shard ~> registry).
+//      The callbacks are gone: subsystems count straight into the
+//      registry, so exposition never leaves it.
 //
 // Each test drives the fixed path with the validator armed and a capturing
 // handler installed: a regression reintroducing the inversion fails here
@@ -35,6 +37,7 @@
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_server.h"
 #include "src/fuse/fuse_server_pool.h"
+#include "src/kernel/kernel.h"
 #include "src/obs/metrics.h"
 #include "src/util/sim_clock.h"
 
@@ -175,34 +178,70 @@ TEST_F(LockdepRegressionTest, ControllerPassQuarantineAbortsOutsidePassLock) {
   EXPECT_EQ(reports_.load(), 0) << last_.details;
 }
 
-// Finding 4: exposition samples callbacks with the registry mutex
-// released. The subsystem lock below stands in for a dcache shard: the
-// request path locks it and then touches the registry (shard -> registry);
-// the callback samples subsystem state under the same lock. Rendering
-// under the old scheme added registry -> shard and closed the cycle.
-TEST_F(LockdepRegressionTest, ExpositionSamplesCallbacksOutsideRegistryLock) {
-  obs::MetricsRegistry registry;
-  CheckedMutex subsys("test.lockdep.metrics.subsys");
-  uint64_t value = 0;
+// Finding 4, now removed by construction: every kernel counter lives in
+// the registry, so exposition loads atomics under the registry mutex and
+// never calls into a subsystem. Render /proc/cntr/metrics and SnapshotJson()
+// from a second thread while a process drives dcache, page-cache and disk
+// traffic; the class graph must stay acyclic.
+TEST_F(LockdepRegressionTest, ExpositionDuringKernelTrafficIsCycleFree) {
+  kernel::Kernel::Config config;
+  config.page_cache_capacity = 64 * kernel::kPageSize;  // small: writes evict, reads miss
+  auto k = kernel::Kernel::Create(config);
+  auto worker = k->Fork(*k->init(), "worker");
+  auto viewer = k->Fork(*k->init(), "viewer");
 
-  uint64_t handle = registry.AddCallback("test_subsys_gauge", {}, [&] {
-    std::lock_guard<CheckedMutex> lock(subsys);
-    return static_cast<double>(value);
+  std::atomic<bool> done{false};
+  std::atomic<int> renders{0};
+  std::thread render([&] {
+    char buf[4096];
+    while (!done.load()) {
+      auto fd = k->Open(*viewer, "/proc/cntr/metrics", kernel::kORdOnly);
+      EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+      if (fd.ok()) {
+        while (true) {
+          auto n = k->Read(*viewer, fd.value(), buf, sizeof(buf));
+          if (!n.ok() || n.value() == 0) {
+            break;
+          }
+        }
+        EXPECT_TRUE(k->Close(*viewer, fd.value()).ok());
+      }
+      EXPECT_NE(k->metrics().SnapshotJson().find("cntr_dcache_entries"), std::string::npos);
+      renders.fetch_add(1);
+    }
   });
 
-  // Instrumented request path: subsystem lock held while resolving an
-  // instrument (which takes the registry mutex).
-  {
-    std::lock_guard<CheckedMutex> lock(subsys);
-    value = 7;
-    registry.GetCounter("test_requests_total")->Add(1);
+  std::string data(8 * kernel::kPageSize, 'x');
+  std::string back(data.size(), '\0');
+  auto drive = [&](int i) {
+    std::string path = "/data/f" + std::to_string(i % 16);
+    auto fd = k->Open(*worker, path, kernel::kORdWr | kernel::kOCreat);
+    if (!fd.ok()) {
+      return false;
+    }
+    bool ok = k->Pwrite(*worker, fd.value(), data.data(), data.size(), 0).ok() &&
+              k->Fsync(*worker, fd.value()).ok() &&
+              k->Pread(*worker, fd.value(), back.data(), back.size(), 0).ok();
+    ok = k->Close(*worker, fd.value()).ok() && ok;
+    ok = ok && k->Stat(*worker, path).ok() && !k->Stat(*worker, path + ".missing").ok();
+    return ok && (i % 4 != 3 || k->Unlink(*worker, path).ok());
+  };
+  while (renders.load() == 0) {
+    std::this_thread::yield();  // the viewer is mid-loop before traffic starts
   }
+  // Run until at least one whole render fell inside the traffic.
+  const int first = renders.load();
+  bool traffic_ok = true;
+  for (int i = 0; traffic_ok && (i < 64 || renders.load() < first + 2); ++i) {
+    traffic_ok = drive(i);
+  }
+  done.store(true);
+  render.join();
 
-  EXPECT_NE(registry.SnapshotJson().find("\"test_subsys_gauge\":7"),
-            std::string::npos);
-  EXPECT_NE(registry.RenderPrometheus().find("test_subsys_gauge 7"),
-            std::string::npos);
-  registry.RemoveCallback(handle);
+  EXPECT_TRUE(traffic_ok);
+  EXPECT_GT(k->dcache().stats().hits, 0u);
+  EXPECT_GT(k->page_cache().stats().evictions, 0u);
+  EXPECT_GT(k->disk().stats().flushes, 0u);
   EXPECT_EQ(reports_.load(), 0) << last_.details;
 }
 

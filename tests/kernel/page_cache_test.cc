@@ -8,6 +8,7 @@
 #include <map>
 
 #include "src/kernel/page_cache.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace cntr::kernel {
@@ -17,10 +18,11 @@ class PageCacheTest : public ::testing::Test {
  protected:
   SimClock clock_;
   CostModel costs_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(PageCacheTest, StoreAndReadBack) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize];
   std::memset(page, 'x', sizeof(page));
   pool.StorePage(this, 0, page, false);
@@ -31,7 +33,7 @@ TEST_F(PageCacheTest, StoreAndReadBack) {
 }
 
 TEST_F(PageCacheTest, OwnersAreIsolated) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize] = {};
   int owner_a = 0;
   int owner_b = 0;
@@ -42,7 +44,7 @@ TEST_F(PageCacheTest, OwnersAreIsolated) {
 }
 
 TEST_F(PageCacheTest, CapacityEvictsCleanLru) {
-  PageCachePool pool(&clock_, &costs_, 4 * kPageSize);
+  PageCachePool pool(&clock_, &costs_, metrics_, 4 * kPageSize);
   char page[kPageSize] = {};
   for (uint64_t i = 0; i < 8; ++i) {
     pool.StorePage(this, i, page, false);
@@ -56,7 +58,7 @@ TEST_F(PageCacheTest, CapacityEvictsCleanLru) {
 }
 
 TEST_F(PageCacheTest, DirtyPagesArePinned) {
-  PageCachePool pool(&clock_, &costs_, 4 * kPageSize);
+  PageCachePool pool(&clock_, &costs_, metrics_, 4 * kPageSize);
   char page[kPageSize] = {};
   for (uint64_t i = 0; i < 3; ++i) {
     pool.StorePage(this, i, page, /*dirty=*/true);
@@ -73,7 +75,7 @@ TEST_F(PageCacheTest, DirtyPagesArePinned) {
 }
 
 TEST_F(PageCacheTest, MarkCleanAllowsEviction) {
-  PageCachePool pool(&clock_, &costs_, 2 * kPageSize);
+  PageCachePool pool(&clock_, &costs_, metrics_, 2 * kPageSize);
   char page[kPageSize] = {};
   pool.StorePage(this, 0, page, true);
   EXPECT_EQ(pool.TotalDirtyBytes(), kPageSize);
@@ -86,7 +88,7 @@ TEST_F(PageCacheTest, MarkCleanAllowsEviction) {
 }
 
 TEST_F(PageCacheTest, UpdatePageReportsDirtyTransition) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize] = {};
   EXPECT_EQ(pool.UpdatePage(this, 0, 0, 4, "abcd", true),
             PageCachePool::UpdateResult::kNotResident);
@@ -101,7 +103,7 @@ TEST_F(PageCacheTest, UpdatePageReportsDirtyTransition) {
 }
 
 TEST_F(PageCacheTest, TruncateDropsTailAndZeroesBoundary) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize];
   std::memset(page, 'z', sizeof(page));
   pool.StorePage(this, 0, page, true);
@@ -115,7 +117,7 @@ TEST_F(PageCacheTest, TruncateDropsTailAndZeroesBoundary) {
 }
 
 TEST_F(PageCacheTest, DirtyPagesSortedForWriteback) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize] = {};
   for (uint64_t idx : {7u, 2u, 9u, 3u}) {
     pool.StorePage(this, idx, page, true);
@@ -125,7 +127,7 @@ TEST_F(PageCacheTest, DirtyPagesSortedForWriteback) {
 }
 
 TEST_F(PageCacheTest, DropAllCleanKeepsDirty) {
-  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  PageCachePool pool(&clock_, &costs_, metrics_, 1 << 20);
   char page[kPageSize] = {};
   pool.StorePage(this, 0, page, true);
   pool.StorePage(this, 1, page, false);
@@ -133,6 +135,63 @@ TEST_F(PageCacheTest, DropAllCleanKeepsDirty) {
   char out[kPageSize];
   EXPECT_TRUE(pool.PeekPage(this, 0, out));
   EXPECT_FALSE(pool.PeekPage(this, 1, out));
+}
+
+// The resident and dirty gauges are bookkeeping at every insert, erase and
+// dirty-bit site; each removal path must keep them equal to a sweep of the
+// shards.
+TEST_F(PageCacheTest, ResidentGaugeTracksEveryRemovalPath) {
+  PageCachePool pool(&clock_, &costs_, metrics_, 16 * kPageSize, /*num_shards=*/2);
+  const obs::Gauge* resident = metrics_.GetGauge("cntr_page_cache_resident_bytes");
+  const obs::Gauge* dirty = metrics_.GetGauge("cntr_page_cache_dirty_bytes");
+  int a = 0;
+  int b = 0;
+  auto expect_gauges = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(static_cast<uint64_t>(resident->Value()), pool.ResidentBytes());
+    uint64_t dirty_pages = pool.DirtyPages(&a).size() + pool.DirtyPages(&b).size();
+    EXPECT_EQ(static_cast<uint64_t>(dirty->Value()), dirty_pages * kPageSize);
+    EXPECT_EQ(pool.TotalDirtyBytes(), dirty_pages * kPageSize);
+  };
+  char page[kPageSize] = {};
+
+  for (uint64_t i = 0; i < 32; ++i) {
+    pool.StorePage(&a, i, page, /*dirty=*/false);
+  }
+  for (uint64_t i = 0; i < 4; ++i) {
+    pool.StorePage(&b, i, page, /*dirty=*/true);
+  }
+  pool.StorePage(&b, 0, page, /*dirty=*/true);  // overwrite: no double count
+  EXPECT_GT(pool.stats().evictions, 0u);
+  expect_gauges("store past capacity");
+
+  splice::PageRef shared = splice::PageRef::Alloc(kPageSize);
+  splice::PageRef keep = shared;  // a second holder, so the clean install aliases
+  pool.StorePageRef(&a, 100, shared, /*dirty=*/false, /*allow_alias=*/true);
+  pool.StorePageRef(&b, 100, splice::PageRef::Alloc(kPageSize), /*dirty=*/true,
+                    /*allow_alias=*/false);
+  expect_gauges("StorePageRef clean and dirty");
+
+  ASSERT_TRUE(pool.StealPage(&a, 100).has_value());
+  expect_gauges("StealPage");
+
+  pool.Drop(&b, 0);
+  pool.Drop(&a, 31);
+  expect_gauges("Drop");
+
+  pool.TruncatePages(&b, 2 * kPageSize);
+  expect_gauges("TruncatePages");
+
+  ASSERT_TRUE(pool.MarkClean(&b, 1));
+  pool.DropAllClean();
+  expect_gauges("MarkClean + DropAllClean");
+  EXPECT_EQ(pool.ResidentBytes(), 0u) << "b's last page was cleaned, so nothing is pinned";
+
+  pool.StorePage(&b, 7, page, /*dirty=*/true);
+  pool.StorePage(&b, 8, page, /*dirty=*/false);
+  pool.DropAll(&b);
+  expect_gauges("DropAll");
+  EXPECT_EQ(resident->Value(), 0);
 }
 
 TEST(CountExtentsTest, CoalescesRuns) {
@@ -149,7 +208,8 @@ class PageCachePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(PageCachePropertyTest, LastWriteWins) {
   SimClock clock;
   CostModel costs;
-  PageCachePool pool(&clock, &costs, 1 << 22);
+  obs::MetricsRegistry metrics;
+  PageCachePool pool(&clock, &costs, metrics, 1 << 22);
   Rng rng(GetParam());
   // Shadow model: expected content per page.
   std::map<uint64_t, std::array<char, kPageSize>> shadow;

@@ -60,7 +60,8 @@ TEST(DentryCacheTest, HitReturnsInsertedChild) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
   ASSERT_TRUE(etc.ok());
@@ -74,7 +75,8 @@ TEST(DentryCacheTest, FiniteTtlExpires) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
   ASSERT_TRUE(etc.ok());
@@ -89,7 +91,8 @@ TEST(DentryCacheTest, NegativeEntriesAnswerEnoentUntilTtl) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
   auto root = kernel->root_fs()->root();
 
   EXPECT_FALSE(dcache.LookupEntry(root.get(), "ghost").has_value()) << "cold: a true miss";
@@ -107,7 +110,8 @@ TEST(DentryCacheTest, PositiveInsertOverwritesNegative) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
   ASSERT_TRUE(etc.ok());
@@ -127,7 +131,8 @@ TEST(DentryCacheTest, InvalidationRemovesEntries) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
   ASSERT_TRUE(etc.ok());
@@ -157,7 +162,8 @@ TEST(DentryCacheTest, ShardedLruEvictsAtMaxEntries) {
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
   // Two lock stripes of 64 entries each; the cache must stay bounded and
   // evict least-recently-used entries per shard once it fills.
-  DentryCache dcache(&clock, &costs, /*max_entries=*/128, /*num_shards=*/2);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics, /*max_entries=*/128, /*num_shards=*/2);
   ASSERT_EQ(dcache.num_shards(), 2u);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
@@ -185,7 +191,8 @@ TEST(DentryCacheTest, InvalidateDirSweepsEveryShard) {
   SimClock clock;
   CostModel costs;
   auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
-  DentryCache dcache(&clock, &costs, /*max_entries=*/1024, /*num_shards=*/4);
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics, /*max_entries=*/1024, /*num_shards=*/4);
   auto root = kernel->root_fs()->root();
   auto etc = root->Lookup("etc");
   ASSERT_TRUE(etc.ok());
@@ -195,6 +202,59 @@ TEST(DentryCacheTest, InvalidateDirSweepsEveryShard) {
   dcache.InvalidateDir(root.get());
   EXPECT_EQ(dcache.size(), 0u);
   EXPECT_EQ(dcache.Lookup(root.get(), "sweep-0"), nullptr);
+}
+
+// The entry gauge is bookkeeping at every insert and removal site; each
+// path must keep it equal to a sweep of the shards.
+TEST(DentryCacheTest, EntryGaugeTracksEveryRemovalPath) {
+  SimClock clock;
+  CostModel costs;
+  auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics, /*max_entries=*/32, /*num_shards=*/2);
+  const obs::Gauge* entries = metrics.GetGauge("cntr_dcache_entries");
+  auto expect_gauge = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(static_cast<size_t>(entries->Value()), dcache.size());
+  };
+  auto root = kernel->root_fs()->root();
+  auto etc = root->Lookup("etc");
+  ASSERT_TRUE(etc.ok());
+  const Inode* dir = root.get();
+  const Inode* sub = etc.value().get();
+
+  for (int i = 0; i < 48; ++i) {
+    dcache.Insert(dir, "n" + std::to_string(i), etc.value(), UINT64_MAX);
+  }
+  EXPECT_GT(dcache.stats().evictions, 0u);
+  expect_gauge("insert past capacity");
+
+  dcache.Insert(dir, "n47", etc.value(), UINT64_MAX);
+  expect_gauge("overwrite in place");
+
+  dcache.InsertNegative(dir, "absent", /*ttl_ns=*/1000);
+  dcache.InsertNegative(sub, "absent", UINT64_MAX);
+  for (int i = 0; i < 4; ++i) {
+    dcache.Insert(sub, "s" + std::to_string(i), etc.value(), /*ttl_ns=*/1000);
+  }
+  expect_gauge("InsertNegative");
+
+  clock.Advance(2000);
+  EXPECT_FALSE(dcache.LookupEntry(dir, "absent").has_value());
+  EXPECT_FALSE(dcache.LookupEntry(sub, "s3").has_value());
+  EXPECT_GT(dcache.stats().expiries, 0u);
+  expect_gauge("TTL expiry");
+
+  dcache.Invalidate(dir, "n47");
+  dcache.Invalidate(dir, "never-cached");
+  expect_gauge("Invalidate");
+
+  dcache.InvalidateDir(sub);
+  expect_gauge("InvalidateDir");
+
+  dcache.Clear();
+  expect_gauge("Clear");
+  EXPECT_EQ(entries->Value(), 0);
 }
 
 TEST(CapSetTest, RoundTripsThroughRaw) {

@@ -191,20 +191,6 @@ TEST(RegistryTest, SeriesKeyFormat) {
             "cntr_x_total{a=\"b\",c=\"d\"}");
 }
 
-TEST(RegistryTest, CallbacksAppearAndUnregister) {
-  MetricsRegistry reg;
-  double value = 41.0;
-  uint64_t handle =
-      reg.AddCallback("cntr_cb_value", {{"src", "test"}}, [&value] { return value; });
-  value = 42.0;
-  std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("cntr_cb_value{src=\"test\"} 42"), std::string::npos) << text;
-  reg.RemoveCallback(handle);
-  text = reg.RenderPrometheus();
-  EXPECT_EQ(text.find("cntr_cb_value"), std::string::npos)
-      << "removed callback must leave the exposition";
-}
-
 // --- Exposition surfaces. ---
 
 TEST(RegistryTest, RenderPrometheusShape) {
@@ -265,7 +251,6 @@ TEST(RegistryTest, SnapshotJsonSchema) {
   MetricsRegistry reg;
   reg.GetCounter("cntr_reqs_total", {{"mount", "m0"}})->Add(7);
   reg.GetGauge("cntr_depth")->Set(3);
-  reg.AddCallback("cntr_cb", {}, [] { return 1.5; });
   Histogram* h = reg.GetHistogram("cntr_lat_ns", {{"op", "READ"}});
   for (uint64_t i = 1; i <= 100; ++i) {
     h->Record(i * 10);
@@ -280,8 +265,6 @@ TEST(RegistryTest, SnapshotJsonSchema) {
   // Series keys carry their label blocks; values are numbers.
   EXPECT_NE(json.find("\"cntr_reqs_total{mount=\\\"m0\\\"}\":7"), std::string::npos);
   EXPECT_NE(json.find("\"cntr_depth\":3"), std::string::npos);
-  // Callbacks fold into the gauges section.
-  EXPECT_NE(json.find("\"cntr_cb\":1.5"), std::string::npos);
   // Histogram entries expose the full summary schema.
   for (const char* field : {"\"count\":100", "\"sum\":", "\"max\":1000", "\"mean\":",
                             "\"p50\":", "\"p95\":", "\"p99\":"}) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,12 +355,36 @@ TEST(ProcfsMetricsTest, RendersTheKernelRegistry) {
 
   std::string text = ReadAll(*k, *init, "/proc/cntr/metrics");
   ASSERT_FALSE(text.empty());
-  // Kernel-subsystem gauges registered at construction.
-  EXPECT_NE(text.find("# TYPE cntr_page_cache_hits gauge"), std::string::npos) << text;
-  EXPECT_NE(text.find("cntr_dcache_entries"), std::string::npos);
-  EXPECT_NE(text.find("cntr_disk_read_ops"), std::string::npos);
-  EXPECT_NE(text.find("cntr_splice_spliced_pages"), std::string::npos);
-  EXPECT_NE(text.find("cntr_fault_hits"), std::string::npos);
+  // At boot the kernel subsystems' instruments are the whole registry:
+  // 22 monotonic counters and 3 state gauges.
+  std::map<std::string, std::string> types;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string family;
+      std::string type;
+      fields >> family >> type;
+      types[family] = type;
+    }
+  }
+  std::map<std::string, std::string> expected;
+  for (const char* family :
+       {"cntr_page_cache_hits", "cntr_page_cache_misses", "cntr_page_cache_evictions",
+        "cntr_page_cache_ref_steals", "cntr_page_cache_ref_aliases",
+        "cntr_page_cache_ref_copies", "cntr_page_cache_cow_breaks", "cntr_dcache_hits",
+        "cntr_dcache_misses", "cntr_dcache_expiries", "cntr_dcache_evictions",
+        "cntr_dcache_negative_hits", "cntr_disk_read_ops", "cntr_disk_write_ops",
+        "cntr_disk_flushes", "cntr_disk_bytes_read", "cntr_disk_bytes_written",
+        "cntr_splice_spliced_pages", "cntr_splice_copied_pages", "cntr_splice_teed_pages",
+        "cntr_fault_hits", "cntr_fault_fired"}) {
+    expected[family] = "counter";
+  }
+  for (const char* family :
+       {"cntr_page_cache_resident_bytes", "cntr_page_cache_dirty_bytes", "cntr_dcache_entries"}) {
+    expected[family] = "gauge";
+  }
+  EXPECT_EQ(types, expected) << text;
 
   // The file is a live view: instruments added later show on the next read.
   k->metrics().GetCounter("cntr_probe_total", {{"mount", "m0"}})->Add(5);
