@@ -455,6 +455,11 @@ InodePtr FuseFs::GetOrCreateInode(const FuseEntryOut& entry) {
   return existing;
 }
 
+size_t FuseFs::InodeTableSize() const {
+  std::lock_guard<analysis::CheckedMutex> lock(inodes_mu_);
+  return inodes_.size();
+}
+
 InodePtr FuseFs::PrimeChild(FuseInode* dir, const std::string& name, const FuseEntryOut& entry) {
   InodePtr child = GetOrCreateInode(entry);
   if (auto* fchild = dynamic_cast<FuseInode*>(child.get())) {
@@ -724,9 +729,19 @@ FuseInode::FuseInode(FuseFs* fs, uint64_t nodeid, const InodeAttr& attr, uint64_
 FuseInode::~FuseInode() {
   // Dirty pages dropped with the inode leave the writeback set for good:
   // return their bytes or the watermarks drift permanently upward.
-  fs_->SubDirty(fs_->kernel()->page_cache().DirtyBytes(this));
-  fs_->kernel()->page_cache().DropAll(this);
+  fs_->SubDirty(fs_->kernel()->page_cache().DropAll(this));
   fs_->ForgetDirty(this);
+  {
+    // The server interns a fresh nodeid after the FORGET, so this entry
+    // would only pin a dead control block. A concurrent GetOrCreateInode
+    // may already have installed a live inode under the same nodeid; that
+    // one stays.
+    std::lock_guard<analysis::CheckedMutex> lock(fs_->inodes_mu_);
+    auto it = fs_->inodes_.find(nodeid_);
+    if (it != fs_->inodes_.end() && it->second.expired()) {
+      fs_->inodes_.erase(it);
+    }
+  }
   if (nodeid_ != kFuseRootId) {
     fs_->QueueForget(nodeid_, nlookup_.load(std::memory_order_relaxed));
   }
@@ -787,9 +802,7 @@ Status FuseInode::Setattr(const kernel::SetattrRequest& sreq, const kernel::Cred
     auto& pool = fs_->kernel()->page_cache();
     // Truncate drops dirty pages without a flush: return their bytes to the
     // writeback accounting or the watermarks drift permanently upward.
-    uint64_t dirty_before = pool.DirtyBytes(this);
-    pool.TruncatePages(this, *sreq.size);
-    fs_->SubDirty(dirty_before - pool.DirtyBytes(this));
+    fs_->SubDirty(pool.TruncatePages(this, *sreq.size));
   }
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   UpdateAttrLocked(reply.attr, fs_->options().attr_ttl_ns);
@@ -1025,8 +1038,7 @@ StatusOr<FilePtr> FuseInode::Open(int flags, const kernel::Credentials& cred) {
   bool keep = fs_->options().keep_cache && (reply.open_flags & kFOpenKeepCache);
   if (!is_dir && !keep) {
     // Dropped dirty pages leave the writeback set for good (see Setattr).
-    fs_->SubDirty(fs_->kernel()->page_cache().DirtyBytes(this));
-    fs_->kernel()->page_cache().DropAll(this);
+    fs_->SubDirty(fs_->kernel()->page_cache().DropAll(this));
   }
   {
     std::lock_guard<analysis::CheckedMutex> lock(mu_);

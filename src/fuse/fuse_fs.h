@@ -244,6 +244,9 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   // refreshes the inode's cached attributes from `entry` (the server's reply
   // is newer than whatever the inode held).
   kernel::InodePtr GetOrCreateInode(const FuseEntryOut& entry);
+  // Entries in that map: live inodes only, since ~FuseInode erases its own
+  // entry (the client-side mirror of CntrFsServer::NodeTableSize).
+  size_t InodeTableSize() const;
 
   // Materializes one READDIRPLUS entry: resolves the inode, refreshes its
   // attr cache, and primes the kernel dentry cache under (dir, name) with
@@ -333,7 +336,11 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   uint32_t readahead_ceiling_pages_ = 32;
   std::shared_ptr<FuseInode> root_;
 
-  analysis::CheckedMutex inodes_mu_{"fuse.fs.inodes"};
+  // nodeid -> inode. The server never reuses a forgotten nodeid, so
+  // ~FuseInode erases its own entry (unless a live inode already replaced
+  // it); otherwise every recycled nodeid would leave a dead weak_ptr that
+  // pins the make_shared block of the inode it named.
+  mutable analysis::CheckedMutex inodes_mu_{"fuse.fs.inodes"};
   std::map<uint64_t, std::weak_ptr<FuseInode>> inodes_;
 
   analysis::CheckedMutex forget_mu_{"fuse.fs.forget"};

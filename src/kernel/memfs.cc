@@ -671,6 +671,15 @@ uint64_t MemInode::size() const {
 
 // --- data plane ---
 
+void MemInode::CopyInlineLocked(uint64_t off, size_t len, char* dst) const {
+  size_t stored =
+      off < inline_data_.size() ? std::min<uint64_t>(len, inline_data_.size() - off) : 0;
+  if (stored > 0) {
+    std::memcpy(dst, inline_data_.data() + off, stored);
+  }
+  std::memset(dst + stored, 0, len - stored);
+}
+
 StatusOr<size_t> MemInode::ReadData(char* buf, size_t count, uint64_t off, bool direct,
                                     FileReadahead* ra) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
@@ -686,7 +695,7 @@ StatusOr<size_t> MemInode::ReadData(char* buf, size_t count, uint64_t off, bool 
   const MemFs::Options& opts = fs_->options();
   if (opts.disk == nullptr) {
     // tmpfs: straight memory copy.
-    std::memcpy(buf, inline_data_.data() + off, count);
+    CopyInlineLocked(off, count, buf);
     fs_->clock()->Advance(((count + kPageSize - 1) / kPageSize) * fs_->costs()->copy_page_ns);
     return count;
   }
@@ -841,7 +850,9 @@ StatusOr<std::vector<splice::PageRef>> MemInode::ReadPageRefs(size_t count, uint
       uint64_t page_start = idx * kPageSize;
       uint32_t len = static_cast<uint32_t>(
           std::min<uint64_t>(kPageSize, off + count - page_start));
-      out.push_back(splice::PageRef::Copy(inline_data_.data() + page_start, len));
+      splice::PageRef ref = splice::PageRef::Alloc(len);
+      CopyInlineLocked(page_start, len, ref.mutable_data());
+      out.push_back(std::move(ref));
       fs_->clock()->Advance(fs_->costs()->copy_page_ns);
     }
     return out;
@@ -981,7 +992,11 @@ Status MemInode::TruncateData(uint64_t new_size) {
   }
   const MemFs::Options& opts = fs_->options();
   if (opts.disk == nullptr) {
-    inline_data_.resize(new_size, 0);
+    // Growing leaves a hole (sparse, like tmpfs); shrinking cuts the stored
+    // prefix, so the cut bytes read as zeros if the file grows again.
+    if (new_size < inline_data_.size()) {
+      inline_data_.resize(new_size);
+    }
   } else {
     opts.page_cache->TruncatePages(this, new_size);
     opts.disk->TruncateData(ino(), new_size);

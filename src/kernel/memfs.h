@@ -176,6 +176,9 @@ class MemInode : public Inode {
   StatusOr<std::shared_ptr<MemInode>> LookupLocked(const std::string& name);
   // Reads pages [idx, idx+n) from the disk store into the page cache.
   void FillFromDiskLocked(uint64_t page_idx, uint32_t pages);
+  // Copies [off, off+len) of the tmpfs payload to `dst`; the hole past
+  // inline_data_ reads as zeros.
+  void CopyInlineLocked(uint64_t off, size_t len, char* dst) const;
 
   MemFs* fs_;
   std::shared_ptr<std::atomic<bool>> fs_alive_;  // MemFs::alive_
@@ -187,7 +190,10 @@ class MemInode : public Inode {
   std::weak_ptr<MemInode> parent_;                            // directories
   std::string symlink_target_;
   std::map<std::string, std::string> xattrs_;
-  std::vector<char> inline_data_;  // tmpfs payload
+  // tmpfs payload: the stored prefix of the file. The rest of attr_.size
+  // is a hole that reads as zeros, so a truncate that grows a file stores
+  // nothing (sized-but-empty image payloads cost no memory).
+  std::vector<char> inline_data_;
   bool dirty_registered_ = false;
   // Set by Setattr: ext4 commits explicit metadata updates in their own
   // journal transaction, so the next fsync pays a second barrier. The FUSE

@@ -38,15 +38,15 @@ bool PageCachePool::ReadPage(CacheOwner owner, uint64_t idx, char* out) {
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
+  Page* page = FindLocked(shard, key);
+  if (page == nullptr) {
     misses_->Add();
     return false;
   }
   hits_->Add();
   clock_->Advance(costs_->page_cache_hit_ns);
-  std::memcpy(out, it->second.data.get(), kPageSize);
-  TouchLocked(shard, it->second, it->first);
+  std::memcpy(out, page->data.get(), kPageSize);
+  TouchLocked(shard, *page);
   return true;
 }
 
@@ -54,40 +54,33 @@ bool PageCachePool::HasPage(CacheOwner owner, uint64_t idx) const {
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  return shard.pages.count(key) != 0;
+  return FindLocked(shard, key) != nullptr;
 }
 
 bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, bool dirty) {
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
-    Page page;
-    page.data = std::make_shared<char[]>(kPageSize);
-    std::memcpy(page.data.get(), data, kPageSize);
-    shard.lru.push_front(key);
-    page.lru_it = shard.lru.begin();
-    page.dirty = dirty;
-    page.gen = dirty ? 1 : 0;
-    shard.pages.emplace(key, std::move(page));
-    resident_bytes_->Add(kPageBytes);
+  Page* page = FindLocked(shard, key);
+  if (page == nullptr) {
+    auto fresh = std::make_shared<char[]>(kPageSize);
+    std::memcpy(fresh.get(), data, kPageSize);
+    InsertLocked(shard, key, std::move(fresh), dirty);
   } else {
-    EnsureExclusiveLocked(it->second, /*preserve_content=*/false);
-    std::memcpy(it->second.data.get(), data, kPageSize);
-    bool was_dirty = it->second.dirty;
-    it->second.dirty = it->second.dirty || dirty;
+    EnsureExclusiveLocked(*page, /*preserve_content=*/false);
+    std::memcpy(page->data.get(), data, kPageSize);
+    bool was_dirty = page->dirty;
+    page->dirty = page->dirty || dirty;
     if (dirty) {
-      ++it->second.gen;
+      ++page->gen;
     }
-    TouchLocked(shard, it->second, key);
+    TouchLocked(shard, *page);
     if (was_dirty) {
       dirty = false;  // already accounted
+    } else if (dirty) {
+      ++shard.owners[owner].dirty;
+      dirty_bytes_->Add(kPageBytes);
     }
-  }
-  if (dirty) {
-    shard.dirty[owner][idx] = true;
-    dirty_bytes_->Add(kPageBytes);
   }
   EvictIfNeededLocked(shard);
   return dirty;
@@ -99,60 +92,46 @@ PageCachePool::UpdateResult PageCachePool::UpdatePage(CacheOwner owner, uint64_t
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
+  Page* page = FindLocked(shard, key);
+  if (page == nullptr) {
     return UpdateResult::kNotResident;
   }
-  EnsureExclusiveLocked(it->second, /*preserve_content=*/true);
-  std::memcpy(it->second.data.get() + off, src, len);
-  TouchLocked(shard, it->second, it->first);
+  EnsureExclusiveLocked(*page, /*preserve_content=*/true);
+  std::memcpy(page->data.get() + off, src, len);
+  TouchLocked(shard, *page);
   if (mark_dirty) {
-    ++it->second.gen;
+    ++page->gen;
   }
-  if (mark_dirty && !it->second.dirty) {
-    it->second.dirty = true;
-    shard.dirty[owner][idx] = true;
+  if (mark_dirty && !page->dirty) {
+    page->dirty = true;
+    ++shard.owners[owner].dirty;
     dirty_bytes_->Add(kPageBytes);
     return UpdateResult::kNewlyDirty;
   }
   return UpdateResult::kUpdated;
 }
 
-void PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
+uint64_t PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
   uint64_t first_dropped = (new_size + kPageSize - 1) / kPageSize;
   // Zero the partial tail of the boundary page.
   if (new_size % kPageSize != 0) {
     Key key{owner, new_size / kPageSize};
     Shard& shard = ShardFor(key);
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto it = shard.pages.find(key);
-    if (it != shard.pages.end()) {
+    if (Page* page = FindLocked(shard, key)) {
       uint32_t keep = static_cast<uint32_t>(new_size % kPageSize);
-      EnsureExclusiveLocked(it->second, /*preserve_content=*/true);
-      std::memset(it->second.data.get() + keep, 0, kPageSize - keep);
+      EnsureExclusiveLocked(*page, /*preserve_content=*/true);
+      std::memset(page->data.get() + keep, 0, kPageSize - keep);
     }
   }
   // Drop whole pages past the new end (the owner's pages are spread over
-  // every shard, so all stripes are visited).
+  // every shard, so each stripe's slice of the owner is visited).
+  uint64_t dirty_pages = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto dit = shard.dirty.find(owner);
-    for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (it->first.owner == owner && it->first.idx >= first_dropped) {
-        if (it->second.dirty) {
-          dirty_bytes_->Add(-kPageBytes);
-          if (dit != shard.dirty.end()) {
-            dit->second.erase(it->first.idx);
-          }
-        }
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-        resident_bytes_->Add(-kPageBytes);
-      } else {
-        ++it;
-      }
-    }
+    dirty_pages += DropFromLocked(shard, owner, first_dropped);
   }
+  return dirty_pages * kPageSize;
 }
 
 bool PageCachePool::MarkClean(CacheOwner owner, uint64_t idx) {
@@ -163,19 +142,20 @@ bool PageCachePool::MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen)
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end() || !it->second.dirty) {
+  auto oit = shard.owners.find(owner);
+  if (oit == shard.owners.end()) {
     return false;
   }
-  if (gen != UINT64_MAX && it->second.gen != gen) {
+  auto pit = oit->second.pages.find(idx);
+  if (pit == oit->second.pages.end() || !pit->second.dirty) {
+    return false;
+  }
+  if (gen != UINT64_MAX && pit->second.gen != gen) {
     return false;  // re-dirtied since the flusher's snapshot: stays dirty
   }
-  it->second.dirty = false;
+  pit->second.dirty = false;
+  --oit->second.dirty;
   dirty_bytes_->Add(-kPageBytes);
-  auto dit = shard.dirty.find(owner);
-  if (dit != shard.dirty.end()) {
-    dit->second.erase(idx);
-  }
   return true;
 }
 
@@ -183,52 +163,40 @@ void PageCachePool::Drop(CacheOwner owner, uint64_t idx) {
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
+  auto oit = shard.owners.find(owner);
+  if (oit == shard.owners.end()) {
     return;
   }
-  if (it->second.dirty) {
-    dirty_bytes_->Add(-kPageBytes);
-    auto dit = shard.dirty.find(owner);
-    if (dit != shard.dirty.end()) {
-      dit->second.erase(idx);
-    }
+  auto pit = oit->second.pages.find(idx);
+  if (pit != oit->second.pages.end()) {
+    EraseLocked(shard, oit, pit);
   }
-  shard.lru.erase(it->second.lru_it);
-  shard.pages.erase(it);
-  resident_bytes_->Add(-kPageBytes);
 }
 
-void PageCachePool::DropAll(CacheOwner owner) {
+uint64_t PageCachePool::DropAll(CacheOwner owner) {
+  uint64_t dirty_pages = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (it->first.owner == owner) {
-        if (it->second.dirty) {
-          dirty_bytes_->Add(-kPageBytes);
-        }
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-        resident_bytes_->Add(-kPageBytes);
-      } else {
-        ++it;
-      }
-    }
-    shard.dirty.erase(owner);
+    dirty_pages += DropFromLocked(shard, owner, 0);
   }
+  return dirty_pages * kPageSize;
 }
 
 void PageCachePool::DropAllClean() {
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (!it->second.dirty) {
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-        resident_bytes_->Add(-kPageBytes);
-      } else {
-        ++it;
+    for (auto oit = shard.owners.begin(); oit != shard.owners.end();) {
+      auto& pages = oit->second.pages;
+      for (auto pit = pages.begin(); pit != pages.end();) {
+        if (!pit->second.dirty) {
+          shard.lru.erase(pit->second.lru_it);
+          pit = pages.erase(pit);
+          resident_bytes_->Add(-kPageBytes);
+        } else {
+          ++pit;
+        }
       }
+      oit = pages.empty() ? shard.owners.erase(oit) : std::next(oit);
     }
   }
 }
@@ -237,13 +205,15 @@ std::vector<uint64_t> PageCachePool::DirtyPages(CacheOwner owner) const {
   std::vector<uint64_t> out;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto dit = shard.dirty.find(owner);
-    if (dit == shard.dirty.end()) {
+    auto oit = shard.owners.find(owner);
+    if (oit == shard.owners.end() || oit->second.dirty == 0) {
       continue;
     }
-    out.reserve(out.size() + dit->second.size());
-    for (const auto& [idx, _] : dit->second) {
-      out.push_back(idx);
+    out.reserve(out.size() + oit->second.dirty);
+    for (const auto& [idx, page] : oit->second.pages) {
+      if (page.dirty) {
+        out.push_back(idx);
+      }
     }
   }
   std::sort(out.begin(), out.end());
@@ -255,13 +225,13 @@ bool PageCachePool::PeekPage(CacheOwner owner, uint64_t idx, char* out,
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
+  const Page* page = FindLocked(shard, key);
+  if (page == nullptr) {
     return false;
   }
-  std::memcpy(out, it->second.data.get(), kPageSize);
+  std::memcpy(out, page->data.get(), kPageSize);
   if (gen_out != nullptr) {
-    *gen_out = it->second.gen;
+    *gen_out = page->gen;
   }
   return true;
 }
@@ -270,9 +240,9 @@ uint64_t PageCachePool::DirtyBytes(CacheOwner owner) const {
   uint64_t total = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto dit = shard.dirty.find(owner);
-    if (dit != shard.dirty.end()) {
-      total += dit->second.size() * kPageSize;
+    auto oit = shard.owners.find(owner);
+    if (oit != shard.owners.end()) {
+      total += oit->second.dirty * kPageSize;
     }
   }
   return total;
@@ -282,7 +252,9 @@ uint64_t PageCachePool::ResidentBytes() const {
   uint64_t total = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    total += shard.pages.size() * kPageSize;
+    for (const auto& [owner, slice] : shard.owners) {
+      total += slice.pages.size() * kPageSize;
+    }
   }
   return total;
 }
@@ -292,20 +264,20 @@ std::optional<splice::PageRef> PageCachePool::GetPageRef(CacheOwner owner, uint6
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
+  Page* page = FindLocked(shard, key);
+  if (page == nullptr) {
     misses_->Add();
     return std::nullopt;
   }
   hits_->Add();
   // The remap out of the cache, not a copy: splice rate, not hit+copy.
   clock_->Advance(costs_->splice_page_ns);
-  TouchLocked(shard, it->second, it->first);
+  TouchLocked(shard, *page);
   splice::PageRef ref;
-  ref.page = it->second.data;
+  ref.page = page->data;
   ref.len = kPageSize;
   if (gen_out != nullptr) {
-    *gen_out = it->second.gen;
+    *gen_out = page->gen;
   }
   return ref;
 }
@@ -336,32 +308,24 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
+  Page* page = FindLocked(shard, key);
   bool count_dirty = dirty;
-  if (it == shard.pages.end()) {
-    Page page;
-    page.data = std::move(install);
-    shard.lru.push_front(key);
-    page.lru_it = shard.lru.begin();
-    page.dirty = dirty;
-    page.gen = dirty ? 1 : 0;
-    shard.pages.emplace(key, std::move(page));
-    resident_bytes_->Add(kPageBytes);
+  if (page == nullptr) {
+    InsertLocked(shard, key, std::move(install), dirty);
   } else {
-    it->second.data = std::move(install);
-    bool was_dirty = it->second.dirty;
-    it->second.dirty = it->second.dirty || dirty;
+    page->data = std::move(install);
+    bool was_dirty = page->dirty;
+    page->dirty = page->dirty || dirty;
     if (dirty) {
-      ++it->second.gen;
+      ++page->gen;
     }
-    TouchLocked(shard, it->second, key);
+    TouchLocked(shard, *page);
     if (was_dirty) {
       count_dirty = false;  // already accounted
+    } else if (dirty) {
+      ++shard.owners[owner].dirty;
+      dirty_bytes_->Add(kPageBytes);
     }
-  }
-  if (count_dirty) {
-    shard.dirty[owner][idx] = true;
-    dirty_bytes_->Add(kPageBytes);
   }
   EvictIfNeededLocked(shard);
   result.newly_dirty = count_dirty;
@@ -372,19 +336,84 @@ std::optional<splice::PageRef> PageCachePool::StealPage(CacheOwner owner, uint64
   Key key{owner, idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto it = shard.pages.find(key);
-  if (it == shard.pages.end() || it->second.dirty) {
+  auto oit = shard.owners.find(owner);
+  if (oit == shard.owners.end()) {
+    return std::nullopt;
+  }
+  auto pit = oit->second.pages.find(idx);
+  if (pit == oit->second.pages.end() || pit->second.dirty) {
     return std::nullopt;  // absent, or pinned by writeback
   }
   splice::PageRef ref;
-  ref.page = std::move(it->second.data);
+  ref.page = std::move(pit->second.data);
   ref.len = kPageSize;
-  shard.lru.erase(it->second.lru_it);
-  shard.pages.erase(it);
-  resident_bytes_->Add(-kPageBytes);
+  EraseLocked(shard, oit, pit);
   ref_steals_->Add();
   clock_->Advance(costs_->splice_page_ns);
   return ref;
+}
+
+PageCachePool::Page* PageCachePool::FindLocked(Shard& shard, const Key& key) {
+  auto oit = shard.owners.find(key.owner);
+  if (oit == shard.owners.end()) {
+    return nullptr;
+  }
+  auto pit = oit->second.pages.find(key.idx);
+  return pit == oit->second.pages.end() ? nullptr : &pit->second;
+}
+
+void PageCachePool::InsertLocked(Shard& shard, const Key& key, std::shared_ptr<char[]> data,
+                                 bool dirty) {
+  OwnerPages& slice = shard.owners[key.owner];
+  Page& page = slice.pages[key.idx];
+  page.data = std::move(data);
+  page.dirty = dirty;
+  page.gen = dirty ? 1 : 0;
+  shard.lru.push_front(key);
+  page.lru_it = shard.lru.begin();
+  resident_bytes_->Add(kPageBytes);
+  if (dirty) {
+    ++slice.dirty;
+    dirty_bytes_->Add(kPageBytes);
+  }
+}
+
+void PageCachePool::EraseLocked(Shard& shard, OwnerMap::iterator oit,
+                                std::map<uint64_t, Page>::iterator pit) {
+  if (pit->second.dirty) {
+    --oit->second.dirty;
+    dirty_bytes_->Add(-kPageBytes);
+  }
+  shard.lru.erase(pit->second.lru_it);
+  oit->second.pages.erase(pit);
+  resident_bytes_->Add(-kPageBytes);
+  if (oit->second.pages.empty()) {
+    shard.owners.erase(oit);
+  }
+}
+
+uint64_t PageCachePool::DropFromLocked(Shard& shard, CacheOwner owner, uint64_t first) {
+  auto oit = shard.owners.find(owner);
+  if (oit == shard.owners.end()) {
+    return 0;
+  }
+  auto& pages = oit->second.pages;
+  uint64_t dropped = 0;
+  uint64_t dirty = 0;
+  auto from = pages.lower_bound(first);
+  for (auto pit = from; pit != pages.end(); ++pit) {
+    shard.lru.erase(pit->second.lru_it);
+    ++dropped;
+    dirty += pit->second.dirty ? 1 : 0;
+  }
+  pages.erase(from, pages.end());
+  resident_bytes_->Add(-static_cast<int64_t>(dropped) * kPageBytes);
+  dirty_bytes_->Add(-static_cast<int64_t>(dirty) * kPageBytes);
+  oit->second.dirty -= dirty;
+  if (pages.empty()) {
+    shard.owners.erase(oit);
+  }
+  return dirty;
 }
 
 void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
@@ -403,20 +432,20 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
   clock_->Advance(costs_->copy_page_ns);
 }
 
-void PageCachePool::TouchLocked(Shard& shard, Page& page, const Key& /*key*/) {
+void PageCachePool::TouchLocked(Shard& shard, Page& page) {
   shard.lru.splice(shard.lru.begin(), shard.lru, page.lru_it);
   page.lru_it = shard.lru.begin();
 }
 
 void PageCachePool::EvictIfNeededLocked(Shard& shard) {
-  while (shard.pages.size() * kPageSize > capacity_per_shard_ && !shard.lru.empty()) {
+  while (shard.lru.size() * kPageSize > capacity_per_shard_) {
     // Scan from the cold end for a clean victim; dirty pages are pinned.
     auto victim = shard.lru.end();
     bool found = false;
     size_t scanned = 0;
     for (auto it = std::prev(shard.lru.end());; --it) {
-      auto pit = shard.pages.find(*it);
-      if (pit != shard.pages.end() && !pit->second.dirty) {
+      Page* page = FindLocked(shard, *it);
+      if (page != nullptr && !page->dirty) {
         victim = it;
         found = true;
         break;
@@ -428,10 +457,9 @@ void PageCachePool::EvictIfNeededLocked(Shard& shard) {
     if (!found) {
       return;
     }
-    shard.pages.erase(*victim);
-    shard.lru.erase(victim);
+    auto oit = shard.owners.find(victim->owner);
+    EraseLocked(shard, oit, oit->second.pages.find(victim->idx));
     evictions_->Add();
-    resident_bytes_->Add(-kPageBytes);
   }
 }
 

@@ -8,9 +8,18 @@
 // the shared capacity.
 //
 // Concurrency: the pool is lock-striped into shards keyed by (owner, page
-// index) hash, each with its own mutex, page map and LRU list, so parallel
+// index) hash, each with its own mutex, page index and LRU list, so parallel
 // readers/writers (the Figure 4 multithreading path) do not serialize on a
 // single pool mutex. Capacity and eviction are likewise per shard.
+//
+// Per-owner index: inside a shard, pages are filed by owner — each owner
+// maps to its pages in index order plus its dirty-page count, the slice of
+// Linux's per-inode address_space that lives in this stripe. Single-page
+// operations cost one owner lookup plus O(log owner's pages in the shard).
+// The per-owner operations (DropAll, TruncatePages, DirtyPages, DirtyBytes)
+// visit each shard once and touch only that owner's pages, so dropping an
+// inode costs O(shards + its own pages), not O(every resident page). Only
+// DropAllClean and ResidentBytes sweep the whole cache.
 //
 // Eviction policy: clean pages are evicted LRU; dirty pages are pinned until
 // their owner flushes them (owners flush on fsync, on dirty thresholds, and
@@ -70,8 +79,9 @@ class PageCachePool {
                           const char* src, bool mark_dirty);
 
   // Zeroes the tail of the file's last page beyond `size` and drops whole
-  // pages past it (truncate support).
-  void TruncatePages(CacheOwner owner, uint64_t new_size);
+  // pages past it (truncate support). Returns the dirty bytes dropped, so
+  // owners can return them to their writeback accounting.
+  uint64_t TruncatePages(CacheOwner owner, uint64_t new_size);
 
   // Clears the dirty bit; returns true if the page was dirty (so owners can
   // keep exact dirty-byte accounting even when two flushers race).
@@ -82,7 +92,10 @@ class PageCachePool {
   // MarkClean keeps the page dirty instead of being silently lost.
   bool MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen);
   void Drop(CacheOwner owner, uint64_t idx);
-  void DropAll(CacheOwner owner);
+  // Drops every page of one owner; returns the dirty bytes dropped (counted
+  // under the shard locks, so a page dirtied concurrently is either dropped
+  // and counted or left resident).
+  uint64_t DropAll(CacheOwner owner);
   // Drops every clean page of every owner (echo 3 > drop_caches); dirty
   // pages stay pinned.
   void DropAllClean();
@@ -172,7 +185,6 @@ class PageCachePool {
   struct Key {
     CacheOwner owner;
     uint64_t idx;
-    bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     size_t operator()(const Key& k) const {
@@ -191,21 +203,38 @@ class PageCachePool {
     std::list<Key>::iterator lru_it;
   };
 
-  // One lock stripe with its own map, LRU list, capacity slice and dirty
-  // bookkeeping; padded so neighbouring shard locks do not false-share.
+  // One owner's pages in one shard, in index order, and how many of them
+  // are dirty.
+  struct OwnerPages {
+    std::map<uint64_t, Page> pages;
+    size_t dirty = 0;
+  };
+  using OwnerMap = std::unordered_map<CacheOwner, OwnerPages>;
+
+  // One lock stripe with its own per-owner index, LRU list and capacity
+  // slice; padded so neighbouring shard locks do not false-share.
   struct alignas(64) Shard {
     mutable analysis::CheckedMutex mu{"kernel.pagecache.shard"};
-    std::unordered_map<Key, Page, KeyHash> pages;
-    std::list<Key> lru;  // front = most recent
-    // Per-owner dirty page sets, kept sorted for extent coalescing.
-    std::unordered_map<CacheOwner, std::map<uint64_t, bool>> dirty;
+    // An owner's entry goes away with its last page in this shard.
+    OwnerMap owners;
+    std::list<Key> lru;  // front = most recent; one entry per resident page
   };
 
   Shard& ShardFor(const Key& key) const {
     return shards_[KeyHash()(key) % shards_.size()];
   }
 
-  void TouchLocked(Shard& shard, Page& page, const Key& key);
+  // The resident page for `key`, or null.
+  static Page* FindLocked(Shard& shard, const Key& key);
+  // Files a new page under `key` at the LRU head and accounts it.
+  void InsertLocked(Shard& shard, const Key& key, std::shared_ptr<char[]> data, bool dirty);
+  // Removes one page (LRU entry, gauges, the owner's dirty count, and the
+  // owner's entry once it is empty).
+  void EraseLocked(Shard& shard, OwnerMap::iterator oit, std::map<uint64_t, Page>::iterator pit);
+  // Drops `owner`'s pages with index >= `first` from one shard; returns how
+  // many of them were dirty.
+  uint64_t DropFromLocked(Shard& shard, CacheOwner owner, uint64_t first);
+  void TouchLocked(Shard& shard, Page& page);
   void EvictIfNeededLocked(Shard& shard);
   // Un-shares a page before mutation (COW break); charges a page copy when
   // outside references exist. `preserve_content` copies the old bytes into

@@ -263,6 +263,12 @@ TEST_F(ReaddirPlusTest, RepeatedWalksDoNotLeakServerNodes) {
     kernel_->dcache().Clear();  // drop the primed children -> queue forgets
   }
   fuse_fs_->FlushForgets();
+  // The client side must not leak either: each walk's children come back
+  // under fresh nodeids, so a dropped inode's table entry would never be
+  // reused. Only live inodes stay (the root and the walked path's
+  // directories, if anything still holds them).
+  EXPECT_LE(fuse_fs_->InodeTableSize(), 3u)
+      << "dropped inodes must leave the client nodeid table";
   // Forgets travel fire-and-forget; give the server threads a moment to
   // drain the queue.
   size_t nodes = cntrfs_->NodeTableSize();

@@ -333,6 +333,43 @@ TEST_F(SpliceTest, StealPageRefusesDirtyPages) {
   EXPECT_TRUE(pool.StealPage(&owner, 0).has_value());
 }
 
+// tmpfs files are sparse: a page-ref read (the spliced CNTRFS READ path)
+// across the stored prefix and the hole past it delivers the prefix, then
+// zeros up to the file size, and bytes cut by a shrink stay cut.
+TEST_F(SpliceTest, TmpfsHoleReadsAsZeroPageRefs) {
+  auto fd = kernel_->Open(*proc_, "/tmp/sparse", kORdWr | kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_->Write(*proc_, fd.value(), "head", 4).ok());
+  const uint64_t size = 3 * kPageSize + 100;
+  ASSERT_TRUE(kernel_->Ftruncate(*proc_, fd.value(), size).ok());
+  auto file = kernel_->GetFile(*proc_, fd.value());
+  ASSERT_TRUE(file.ok());
+  auto read_refs = [&](size_t count, uint64_t off) {
+    auto refs = (*file)->ReadPageRefs(count, off);
+    EXPECT_TRUE(refs.ok()) << refs.status().ToString();
+    std::string out;
+    for (const splice::PageRef& ref : refs.value()) {
+      out.append(ref.data(), ref.len);
+    }
+    return out;
+  };
+
+  std::string got = read_refs(8 * kPageSize, 0);
+  ASSERT_EQ(got.size(), size);
+  EXPECT_EQ(got.substr(0, 4), "head");
+  EXPECT_EQ(got.find_first_not_of('\0', 4), std::string::npos);
+  got = read_refs(kPageSize, 2 * kPageSize);  // starts inside the hole
+  EXPECT_EQ(got, std::string(kPageSize, '\0'));
+
+  ASSERT_TRUE(kernel_->Ftruncate(*proc_, fd.value(), 2).ok());
+  ASSERT_TRUE(kernel_->Ftruncate(*proc_, fd.value(), size).ok());
+  got = read_refs(8 * kPageSize, 0);
+  ASSERT_EQ(got.size(), size);
+  EXPECT_EQ(got.substr(0, 4), std::string("he\0\0", 4));
+  EXPECT_EQ(got.find_first_not_of('\0', 2), std::string::npos);
+  ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+}
+
 TEST_F(SpliceTest, PushSegmentsRequireAllIsAtomic) {
   PipeBuffer buf(nullptr, /*capacity=*/2 * kPageSize);
   buf.AddReader();

@@ -230,6 +230,46 @@ TEST_F(VfsTest, TruncateShrinksAndZeroExtends) {
   ASSERT_EQ(content.size(), 8u);
   EXPECT_EQ(content.substr(0, 4), "1234");
   EXPECT_EQ(content[6], '\0');
+
+  // tmpfs is sparse: growing across several pages leaves a hole, which
+  // reads as zeros up to the new size.
+  const uint64_t big = 5 * kPageSize + 123;
+  ASSERT_TRUE(kernel_->Truncate(*proc_, "/tmp/t", big).ok());
+  content = ReadAll("/tmp/t");
+  ASSERT_EQ(content.size(), big);
+  EXPECT_EQ(content.substr(0, 4), "1234");
+  EXPECT_EQ(content.find_first_not_of('\0', 4), std::string::npos);
+  // The hole still counts as file data (blocks, statfs and ENOSPC see it).
+  auto attr = kernel_->Stat(*proc_, "/tmp/t");
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->blocks, (big + 511) / 512);
+
+  // A write into the middle of the hole lands there; zeros on both sides.
+  const uint64_t mid = 2 * kPageSize + 100;
+  auto fd = kernel_->Open(*proc_, "/tmp/t", kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  auto n = kernel_->Pwrite(*proc_, fd.value(), "hole", 4, mid);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), 4u);
+  ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+  content = ReadAll("/tmp/t");
+  ASSERT_EQ(content.size(), big);
+  EXPECT_EQ(content.substr(mid, 4), "hole");
+  EXPECT_EQ(content.find_first_not_of('\0', 4), mid);
+  EXPECT_EQ(content.find_first_not_of('\0', mid + 4), std::string::npos);
+
+  // Truncating down into written bytes cuts them: growing again must not
+  // bring them back.
+  ASSERT_TRUE(kernel_->Truncate(*proc_, "/tmp/t", mid + 2).ok());
+  ASSERT_TRUE(kernel_->Truncate(*proc_, "/tmp/t", 6 * kPageSize).ok());
+  content = ReadAll("/tmp/t");
+  ASSERT_EQ(content.size(), 6 * kPageSize);
+  EXPECT_EQ(content.substr(0, 4), "1234");
+  EXPECT_EQ(content.substr(mid, 4), std::string("ho\0\0", 4));
+  EXPECT_EQ(content.find_first_not_of('\0', mid + 2), std::string::npos);
+  ASSERT_TRUE(kernel_->Truncate(*proc_, "/tmp/t", 2).ok());
+  ASSERT_TRUE(kernel_->Truncate(*proc_, "/tmp/t", 10).ok());
+  EXPECT_EQ(ReadAll("/tmp/t"), std::string("12\0\0\0\0\0\0\0\0", 10));
 }
 
 TEST_F(VfsTest, ChmodChownUpdateAttrs) {
