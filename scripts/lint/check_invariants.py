@@ -16,7 +16,8 @@ see is violated:
 
   3. Every CNTR_FAULT_POINT name registered in code is documented in
      docs/robustness.md — the catalogue there is the contract tests and
-     operators grep.
+     operators grep — and every point the catalogue block names is still
+     registered in code, so a deleted point cannot leave its entry behind.
 
 Run from the repo root (or pass it as argv[1]): scripts/lint/check_invariants.py
 """
@@ -33,6 +34,11 @@ RAW_PRIMITIVE = re.compile(
 )
 OBS_CLOCK_READ = re.compile(r"\b(SimClock|NowNs|AdvanceTo|clock\(\))\b")
 FAULT_POINT = re.compile(r'CNTR_FAULT_POINT\(\s*\w+\s*,\s*"([^"]+)"')
+# The fenced block that follows the catalogue's introduction in
+# docs/robustness.md: whitespace-separated point names.
+FAULT_CATALOGUE = re.compile(
+    r"The catalogue \(`FaultRegistry::Points\(\)`\).*?```\n(.*?)```", re.S
+)
 
 MUTEX_EXEMPT_DIRS = ("src/analysis/", "src/util/")
 
@@ -130,6 +136,19 @@ def check_fault_points_documented(root: pathlib.Path) -> list[str]:
                         f"documented in docs/robustness.md — add it to the "
                         f"catalogue section"
                     )
+    catalogue = FAULT_CATALOGUE.search(doc)
+    if catalogue is None:
+        errors.append("docs/robustness.md: fault-point catalogue block not found")
+        return errors
+    first_line = doc.count("\n", 0, catalogue.start(1)) + 1
+    for offset, line in enumerate(catalogue.group(1).splitlines()):
+        for name in line.split():
+            if name not in seen:
+                errors.append(
+                    f"docs/robustness.md:{first_line + offset}: the catalogue "
+                    f"names fault point \"{name}\", but no CNTR_FAULT_POINT "
+                    f"registers it — remove the entry"
+                )
     return errors
 
 

@@ -76,24 +76,23 @@ StatusOr<std::unique_ptr<AttachedSession>> Cntr::AttachPid(kernel::Pid pid, Atta
   }
   CNTR_ASSIGN_OR_RETURN(session->cntrfs_,
                         CntrFsServer::Create(kernel_, session->server_proc_, "/"));
-  session->server_threads_ = opts.server_threads;
-  if (opts.server_pool != nullptr) {
-    // Fleet mode: the shared pool serves this mount; no dedicated threads.
-    session->server_pool_ = opts.server_pool;
-    session->conn_->ConfigureChannels(static_cast<size_t>(opts.server_threads));
-    session->pool_mount_id_ = opts.server_pool->AddMount(
-        session->conn_, session->cntrfs_.get(), opts.pool_weight,
-        opts.pool_admission_budget);
-    // Quarantine auto-revival runs the same transport rebuild the manual
-    // path uses; the hook dies with the mount (RemoveMount waits it out).
-    AttachedSession* raw = session.get();
-    opts.server_pool->SetReconnectHook(session->pool_mount_id_,
-                                       [raw] { return raw->Reconnect(); });
-  } else {
-    session->fuse_server_ = std::make_unique<fuse::FuseServer>(
-        session->conn_, session->cntrfs_.get(), opts.server_threads);
-    session->fuse_server_->Start();
+  // A plain attach is a fleet of one: a private pool serves the mount, so
+  // every attach shares one serve, detach and reconnect path.
+  session->server_pool_ = opts.server_pool;
+  if (session->server_pool_ == nullptr) {
+    session->own_pool_ = std::make_unique<fuse::FuseServerPool>(
+        fuse::FuseServerPoolOptions::Dedicated(opts.server_threads, &kernel_->metrics()));
+    session->server_pool_ = session->own_pool_.get();
   }
+  session->num_channels_ = opts.fuse.ChannelCount(opts.server_threads);
+  session->conn_->ConfigureChannels(session->num_channels_);
+  session->pool_mount_id_ = session->server_pool_->AddMount(
+      session->conn_, session->cntrfs_.get(), opts.pool_weight, opts.pool_admission_budget);
+  // Quarantine auto-revival runs the same transport rebuild the manual path
+  // uses; the hook dies with the mount (RemoveMount waits it out).
+  AttachedSession* raw = session.get();
+  session->server_pool_->SetReconnectHook(session->pool_mount_id_,
+                                          [raw] { return raw->Reconnect(); });
 
   // --- Step 3: attach + nested namespace (§3.2.3). ---
   session->attach_proc_ = kernel_->Fork(*session->cntr_proc_, "cntr-attach");
@@ -180,13 +179,11 @@ Status AttachedSession::Detach() {
   if (fuse_fs_ != nullptr) {
     shutdown_status = fuse_fs_->Shutdown();
   }
-  if (fuse_server_ != nullptr) {
-    fuse_server_->Stop();
-  }
   if (server_pool_ != nullptr) {
     server_pool_->RemoveMount(pool_mount_id_);
     server_pool_ = nullptr;
   }
+  own_pool_.reset();
   if (attach_proc_ != nullptr) {
     kernel_->Exit(*attach_proc_);
   }
@@ -206,26 +203,20 @@ Status AttachedSession::Reconnect() {
   if (fuse_fs_ == nullptr || cntrfs_ == nullptr) {
     return Status::Error(ENOTCONN, "no filesystem to reconnect");
   }
-  if (server_pool_ != nullptr) {
-    // Fleet mode: hand the fresh connection to the pool first — AdoptConn
-    // serves it from that instant, which the INIT replay below requires.
-    // This same body runs as the pool's quarantine reconnect hook.
-    CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *cntr_proc_));
-    fuse_dev.second->ConfigureChannels(static_cast<size_t>(server_threads_));
-    CNTR_RETURN_IF_ERROR(server_pool_->AdoptConn(pool_mount_id_, fuse_dev.second));
-    conn_ = fuse_dev.second;
-    return fuse_fs_->Reconnect(conn_);
+  // The old transport dies without DESTROY: the CntrFsServer instance (and
+  // its node table) survives, which is what keeps the client's nodeids
+  // valid across the reconnect. After a crash (and always on the pool's
+  // hook path, which quarantine aborted) there is nothing left to abort.
+  if (!conn_->aborted()) {
+    conn_->Abort();
   }
-  // Stop the old server threads without DESTROY: the CntrFsServer instance
-  // (and its node table) survives the restart, which is what keeps the
-  // client's nodeids valid across the reconnect.
-  if (fuse_server_ != nullptr) {
-    fuse_server_->Stop(/*notify_destroy=*/false);
-  }
+  // Hand the fresh connection to the pool first: AdoptConn serves it from
+  // that instant, which the INIT replay below requires. This same body runs
+  // as the pool's quarantine reconnect hook.
   CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *cntr_proc_));
+  fuse_dev.second->ConfigureChannels(num_channels_);
+  CNTR_RETURN_IF_ERROR(server_pool_->AdoptConn(pool_mount_id_, fuse_dev.second));
   conn_ = fuse_dev.second;
-  fuse_server_ = std::make_unique<fuse::FuseServer>(conn_, cntrfs_.get(), server_threads_);
-  fuse_server_->Start();
   return fuse_fs_->Reconnect(conn_);
 }
 

@@ -25,15 +25,17 @@
 #include "src/core/shell.h"
 #include "src/core/socket_proxy.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::core {
 
 struct AttachOptions {
+  // fuse.num_channels sets the mount's channel count (0 = one per server
+  // thread), whichever pool serves it.
   fuse::FuseMountOptions fuse = fuse::FuseMountOptions::Optimized();
-  // Paper §3.3: CNTRFS reads /dev/fuse from multiple threads.
+  // Paper §3.3: CNTRFS reads /dev/fuse from multiple threads. Without a
+  // server_pool this many workers serve the mount from a pool of its own.
   int server_threads = 4;
   // Tools source: empty = the host; otherwise the named fat container
   // (resolved through the same engine as the slim container unless
@@ -43,20 +45,21 @@ struct AttachOptions {
   // Unix socket forwards: (path inside the app container, path on the
   // tools side), e.g. {"/tmp/.X11-unix/X0", "/tmp/.X11-unix/X0"}.
   std::vector<std::pair<std::string, std::string>> socket_forwards;
-  // Fleet mode: serve this mount from a shared FuseServerPool instead of
-  // dedicated FuseServer threads (the pool must outlive the session).
-  // server_threads then only sizes the channel count; pool_weight scales the
+  // Fleet mode: serve this mount from a shared FuseServerPool instead of a
+  // private one (the pool must outlive the session). pool_weight scales the
   // mount's fair share and pool_admission_budget (0 = none) arms the
-  // per-tenant in-flight cap. The session auto-registers a reconnect hook,
-  // so a quarantined mount revives without caller involvement.
+  // per-tenant in-flight cap. The session registers its Reconnect as the
+  // mount's reconnect hook, so a mount the shared pool's controller
+  // quarantines revives without caller involvement.
   fuse::FuseServerPool* server_pool = nullptr;
   uint32_t pool_weight = 1;
   uint32_t pool_admission_budget = 0;
 };
 
-// A live attachment. Owns the CntrFS server threads, the nested-namespace
-// process, the shell, the pty and the socket proxy; Detach() (or
-// destruction) tears all of it down.
+// A live attachment. Owns the CntrFS server (and, without a shared pool,
+// the private pool that serves it), the nested-namespace process, the
+// shell, the pty and the socket proxy; Detach() (or destruction) tears all
+// of it down.
 class AttachedSession {
  public:
   ~AttachedSession();
@@ -85,10 +88,11 @@ class AttachedSession {
   // server never took) surfaces here — detach does not swallow data loss.
   Status Detach();
 
-  // Re-establishes the FUSE transport after a server-side crash/abort: a
-  // fresh /dev/fuse connection, new server threads over the SAME
-  // CntrFsServer (its node table survives, so existing nodeids stay valid),
-  // INIT replayed and live file handles re-opened via FuseFs::Reconnect.
+  // Re-establishes the FUSE transport after a server-side crash/abort: the
+  // old connection is aborted (a no-op after a crash), a fresh /dev/fuse
+  // connection is adopted by the serving pool over the SAME CntrFsServer
+  // (its node table survives, so existing nodeids stay valid), INIT is
+  // replayed and live file handles re-opened via FuseFs::Reconnect.
   Status Reconnect();
 
  private:
@@ -103,14 +107,16 @@ class AttachedSession {
   std::shared_ptr<fuse::FuseConn> conn_;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
   std::unique_ptr<CntrFsServer> cntrfs_;
-  std::unique_ptr<fuse::FuseServer> fuse_server_;  // null in fleet mode
-  fuse::FuseServerPool* server_pool_ = nullptr;    // set in fleet mode
+  // Declared after cntrfs_ so it is torn down first: its workers call the
+  // handler. Null in fleet mode.
+  std::unique_ptr<fuse::FuseServerPool> own_pool_;
+  fuse::FuseServerPool* server_pool_ = nullptr;  // own_pool_ or the fleet's
   uint64_t pool_mount_id_ = 0;
   std::unique_ptr<ToolboxShell> shell_;
   std::unique_ptr<Pty> pty_;
   std::unique_ptr<SocketProxy> socket_proxy_;
   std::thread shell_thread_;
-  int server_threads_ = 4;  // remembered for Reconnect's replacement server
+  size_t num_channels_ = 1;  // remembered for Reconnect's replacement conn
   bool detached_ = false;
 };
 

@@ -27,7 +27,7 @@
 #include <string>
 
 #include "src/fuse/fuse_proto.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 #include "src/util/hash.h"
 #include "src/analysis/lockdep.h"

@@ -287,7 +287,7 @@ size_t FuseConn::ConfigureChannels(size_t requested) {
   // quiet connection. Old channels stay in owned_channels_, so even a
   // sender racing this (a protocol violation — the server reshapes before
   // it starts answering) only ever sees valid memory.
-  if (n != num_channels() && reader_threads_.load() == 0 && Quiet()) {
+  if (n != num_channels() && Quiet()) {
     const RingState& ring = Channel(0).ring();
     InstallChannels(n, ring.depth, ring.profile);
     RecomputeSpinBudget();
@@ -335,9 +335,9 @@ size_t FuseConn::RouteChannel(kernel::Pid pid) const {
 }
 
 void FuseConn::NotifyWork() {
-  // A shared pool's workers never park in ReadRequestBatch (they use the
-  // non-blocking drain), so the idle-worker handshake below cannot reach
-  // them; the observer is their doorbell.
+  // Pool workers never park in ReadRequestBatch (they use the non-blocking
+  // drain), so the idle-worker handshake below cannot reach them; the
+  // observer is their doorbell.
   NotifyWorkObserver();
   // Busy-server fast path: no parked worker, no global lock — the enqueue
   // touched only its channel's ring. The seq_cst pairing with ReadRequest
@@ -728,16 +728,13 @@ std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
   std::vector<FuseRequest> batch;
   const size_t n = num_channels();
   const size_t home = home_channel % n;
+  const size_t want = std::clamp<size_t>(max_batch, 1, kRingReapBatch);
   while (true) {
     // Home channel first, then steal from siblings in ring order so a
     // single hot channel still drains through every idle worker.
     for (size_t i = 0; i < n; ++i) {
       FuseChannel& ch = Channel((home + i) % n);
-      RingState& ring = ch.ring();
-      // The profile caps the burst: the paper's server thread takes one
-      // request per read of /dev/fuse.
-      const size_t cap = ring.paper() ? 1 : kRingReapBatch;
-      if (RingReap(ch, ring, batch, std::clamp<size_t>(max_batch, 1, cap)) > 0) {
+      if (RingReap(ch, ch.ring(), batch, want) > 0) {
         return batch;
       }
     }
@@ -996,6 +993,11 @@ size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
   if (ring.sq.SizeApprox() == 0) {
     return 0;
   }
+  // The profile caps the burst: the paper's server thread takes one request
+  // per read of /dev/fuse.
+  if (ring.paper()) {
+    max_batch = std::min<size_t>(max_batch, 1);
+  }
   if (faults_ != nullptr) {
     if (auto hit = faults_->Check(kFaultRingReap)) {
       clock_->Advance(hit.latency_ns);
@@ -1109,7 +1111,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   uint64_t fill_ns = costs_->fuse_ring_sqe_ns;
   if (ring.paper()) {
     fill_ns = costs_->fuse_round_trip_ns;
-    int readers = ch.readers.load(std::memory_order_relaxed);
+    const uint32_t readers = ChannelReaders(ch_idx);
     if (readers > 1) {
       fill_ns += static_cast<uint64_t>(readers - 1) * costs_->fuse_thread_contention_ns;
     }
@@ -1500,14 +1502,10 @@ size_t FuseConn::lane_bytes_in_flight() const {
   return total;
 }
 
-void FuseConn::AddReader(size_t channel) {
-  Channel(channel).readers.fetch_add(1);
-  reader_threads_.fetch_add(1);
-}
-
-void FuseConn::RemoveReader(size_t channel) {
-  Channel(channel).readers.fetch_sub(1);
-  reader_threads_.fetch_sub(1);
+uint32_t FuseConn::ChannelReaders(size_t channel) const {
+  const uint32_t threads = declared_parallelism_.load(std::memory_order_acquire);
+  const size_t n = num_channels();
+  return static_cast<uint32_t>(threads / n + (channel % n < threads % n ? 1 : 0));
 }
 
 }  // namespace cntr::fuse

@@ -20,18 +20,20 @@
 //     may still overlap, which is safe because a FORGET carries the full
 //     nlookup balance and the node table clamps at zero).
 //   * Contention: the Figure 4 premium is charged per channel — it scales
-//     with the readers of *that* channel, not the whole server. One channel
-//     with N workers reproduces the paper's numbers exactly; N channels
-//     with one worker each make the premium vanish.
+//     with the readers of *that* channel, not the whole server. A channel's
+//     readers follow from the declared server parallelism (worker i is
+//     homed on channel i % N; see SetServerParallelism). One channel with N
+//     workers reproduces the paper's numbers exactly; N channels with one
+//     worker each make the premium vanish.
 //   * Occupancy: each channel is a serial resource in virtual time. When
 //     callers run on parallel SimClock lanes (bench_multithreading's
 //     independent client processes), a request arriving at a busy channel
 //     first waits out the channel's backlog on the caller's lane — which is
 //     what makes the single-queue configuration plateau and the multi-queue
 //     configuration scale near-linearly.
-//   * Work conservation: an idle server worker steals from non-empty
-//     sibling channels (FuseServer), so a single hot process still gets the
-//     whole thread pool.
+//   * Work conservation: a server worker scans every channel, home channel
+//     first (FuseServerPool), so a single hot process still gets the whole
+//     thread pool.
 //
 // The default is one channel — the paper's configuration.
 //
@@ -134,9 +136,6 @@ struct alignas(64) FuseChannel {
   // backlog. Only observable across parallel SimClock lanes. Updated
   // lock-free (monotonic fetch-max).
   std::atomic<uint64_t> busy_until_ns{0};
-  // Server threads whose home queue this is (Figure 4 premium scales with
-  // the readers of this channel only).
-  std::atomic<int> readers{0};
   // Requests ever enqueued here (routing visibility for tests/stats).
   std::atomic<uint64_t> enqueued{0};
   // Deepest the queue has ever been (observability groundwork for
@@ -185,8 +184,7 @@ class FuseConn {
   ~FuseConn();
 
   // Reshapes the channel set (FUSE_DEV_IOC_CLONE analogue). Only honoured
-  // before traffic: no readers registered, nothing queued or in flight, not
-  // aborted.
+  // before traffic: nothing queued or in flight, not aborted.
   // Returns the resulting channel count.
   size_t ConfigureChannels(size_t requested);
   // Live reshape for pool-served connections (channel-count autoscaling).
@@ -195,9 +193,7 @@ class FuseConn {
   // its routing window (the submit paths hold reshape_mu_ shared across
   // route+enqueue, so a successful exclusive acquisition here proves no
   // sender can be holding a stale channel pointer). Non-blocking: returns
-  // the current count unchanged when the connection is busy. Not meant for
-  // FuseServer-driven connections — worker home-channel indices would go
-  // stale (pool workers scan every channel each visit, so they do not care).
+  // the current count unchanged when the connection is busy.
   size_t TryReshapeChannels(size_t requested);
   size_t num_channels() const { return num_channels_.load(std::memory_order_acquire); }
 
@@ -242,14 +238,17 @@ class FuseConn {
   // requests, capped by the ring profile's reap batch) from one channel in
   // a single pass, so one wakeup amortizes over every SQ entry that
   // accumulated while the worker was busy. Returns an empty batch when the
-  // connection aborts and the rings are drained.
+  // connection aborts and the rings are drained. ReadRequest and this call
+  // drive a server by hand (tests); FuseServerPool uses the non-blocking
+  // variant below.
   std::vector<FuseRequest> ReadRequestBatch(size_t home_channel = 0,
                                             size_t max_batch = kRingReapBatch);
-  // Non-blocking variant for shared-pool workers: drains up to `max_batch`
+  // Non-blocking variant for pool workers: drains up to `max_batch`
   // requests scanning every channel once (start-channel first, then ring
-  // order), never parks. An empty batch means "nothing queued right now" —
-  // the pool's own scheduler decides whether to revisit or move on, so the
-  // per-connection idle handshake (idle_workers_/work_cv_) is not touched.
+  // order), each channel's reap capped by its ring profile, and never
+  // parks. An empty batch means "nothing queued right now" — the pool's own
+  // scheduler decides whether to revisit or move on, so the per-connection
+  // idle handshake (idle_workers_/work_cv_) is not touched.
   std::vector<FuseRequest> TryReadRequestBatch(size_t start_channel = 0,
                                                size_t max_batch = kRingReapBatch);
   void WriteReply(uint64_t unique, FuseReply reply);
@@ -319,12 +318,14 @@ class FuseConn {
   // passing nullptr disarms. The callback runs on submitter threads and
   // must not block.
   void SetWorkObserver(std::function<void()> observer);
-  // Declares how many server threads actually serve this connection (a
-  // FuseServer's worker count, or a pool's fair share). When the declared
-  // parallelism is below the live channel count the ring spin budget backs
-  // off proportionally: an oversubscribed pool cannot be polling every
-  // channel at once, so waiters spinning the full budget before parking
-  // would burn cycles the server can never answer within. 0 = unknown (no
+  // Declares how many server threads serve this connection (the serving
+  // pool's worker count). It prices the Figure 4 premium: worker i is homed
+  // on channel i % num_channels(), so channel c has the workers homed on it
+  // as its readers (ChannelReaders). When the declared parallelism is below
+  // the live channel count the ring spin budget also backs off
+  // proportionally: an oversubscribed pool cannot be polling every channel
+  // at once, so waiters spinning the full budget before parking would burn
+  // cycles the server can never answer within. 0 = unknown (no premium, no
   // backoff).
   void SetServerParallelism(uint32_t threads);
   // The spin budget a kRing waiter actually uses after the backoff.
@@ -361,11 +362,9 @@ class FuseConn {
   // mount from FuseMountOptions::slow_request_ns.
   void SetSlowRequestNs(uint64_t ns) { req_metrics_->SetSlowThresholdNs(ns); }
 
-  // Number of server threads homed on `channel`; used to model per-channel
-  // queue contention (Figure 4).
-  void AddReader(size_t channel = 0);
-  void RemoveReader(size_t channel = 0);
-  int reader_threads() const { return reader_threads_.load(); }
+  // Server threads homed on `channel` under the declared parallelism; the
+  // paper profile charges each request (readers - 1) contention premiums.
+  uint32_t ChannelReaders(size_t channel) const;
 
   // --- splice lanes ---
   // Resizes every channel's lanes (the fcntl(F_SETPIPE_SZ) analogue). The
@@ -574,8 +573,10 @@ class FuseConn {
   // Pushes one SQE, parking on a full ring (bounded waits; aborts bail out).
   // Returns false when the connection aborted before the push landed.
   bool RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request);
-  // Drains up to `max_batch` SQ entries of `ch` into `out`. Returns how many
-  // were delivered (resolved-before-claim entries are dropped in place).
+  // Drains up to `max_batch` SQ entries of `ch` into `out`, at most one
+  // under the paper profile (the paper's server thread takes one request
+  // per read of /dev/fuse). Returns how many were delivered
+  // (resolved-before-claim entries are dropped in place).
   size_t RingReap(FuseChannel& ch, RingState& ring, std::vector<FuseRequest>& out,
                   size_t max_batch);
   // Marks a reaped SQE's slot as server-claimed; false when its waiter was
@@ -590,7 +591,6 @@ class FuseConn {
   const CostModel* costs_;
   fault::FaultRegistry* faults_;
   std::atomic<uint64_t> next_unique_{2};
-  std::atomic<int> reader_threads_{0};
   std::atomic<bool> aborted_{false};
 
   // Channel publication: readers (routing, enqueue, dequeue, reply) index

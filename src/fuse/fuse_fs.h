@@ -102,8 +102,12 @@ struct FuseMountOptions {
   // Cloned /dev/fuse request queues (FUSE_DEV_IOC_CLONE analogue). Requests
   // route to a channel by caller pid, sticky, so independent processes stop
   // contending on one queue lock (see fuse_conn.h). 1 = the paper's
-  // single-queue design; 0 = one channel per server thread.
+  // single-queue design; 0 = one channel per server thread. Every mount
+  // reads it (plain attach, fleet attach, reconnect, the bench harness).
   uint32_t num_channels = 1;
+  size_t ChannelCount(int server_threads) const {
+    return num_channels == 0 ? static_cast<size_t>(server_threads) : num_channels;
+  }
   // Per-channel splice-lane capacity in pages (the F_SETPIPE_SZ analogue).
   // A READ/WRITE payload larger than the lane falls back to the copy path
   // whole. With lane_autosize on, this is only the starting size: the mount

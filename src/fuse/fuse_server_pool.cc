@@ -74,8 +74,11 @@ void FuseServerPool::NotifyPoolWork() {
   if (idle_workers_.load(std::memory_order_seq_cst) == 0) {
     return;  // every worker is scanning; the seq bump keeps them scanning
   }
+  // One submission is one request's worth of work: wake one parked worker,
+  // not every idle one. Parks are bounded, so a wake that lands on a worker
+  // that then finds nothing costs the others at most a tick.
   { std::lock_guard<analysis::CheckedMutex> lock(pool_mu_); }
-  pool_cv_.notify_all();
+  pool_cv_.notify_one();
 }
 
 void FuseServerPool::WireConn(Mount& m, FuseConn& conn) {
@@ -419,9 +422,9 @@ void FuseServerPool::DispatchBatch(Mount& m, FuseConn& conn,
       }
       continue;
     }
-    // Handle on the caller's virtual timeline, exactly like
-    // FuseServer::WorkerLoop: server-side costs belong to the request that
-    // incurred them.
+    // Handle on the caller's virtual timeline: the server-side costs belong
+    // to the request that incurred them, and channels stay independent when
+    // callers run on parallel lanes.
     SimClock::LaneScope lane(request.lane);
     if (request.span != nullptr) {
       request.span->dispatch_ns.store(conn.clock()->NowNs(),

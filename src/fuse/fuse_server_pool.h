@@ -1,11 +1,19 @@
-// Fleet-scale serving: one elastic worker pool over many FuseConn mounts.
+// The userspace side of FUSE: a handler interface plus the worker pool that
+// serves /dev/fuse connections with it.
 //
-// FuseServer (fuse_server.h) is worker-per-mount: every attach spawns its
-// own threads, so a host with hundreds of slim containers attached pays
-// hundreds of mostly-idle threads — and a single stuck or malicious tenant
-// can still wedge the threads dedicated to it. FuseServerPool is the fleet
-// analogue: a shared thread pool serves every attached mount, with the
-// isolation the sharing makes necessary:
+// The paper's CNTRFS spawns independent threads reading /dev/fuse so that
+// blocking filesystem operations do not stall the whole server (§3.3
+// "Multithreading"). FuseServerPool is that loop, with std::threads acting
+// as the server process on the simulated kernel, and it is the only one:
+// a plain attach serves its mount from a private pool of one mount
+// (FuseServerPoolOptions::Dedicated), while a fleet host shares one pool
+// across every attached mount, so hundreds of slim containers do not pay
+// hundreds of mostly-idle threads. Worker i is homed on channel i % N of
+// each connection (the Figure 4 premium is priced from that rule, see
+// FuseConn::SetServerParallelism) and starts its scan there, so a single hot
+// process still drains through every worker. How many requests one reap
+// returns is the connection's ring profile's call (one under the paper
+// profile, a burst under the ring profile). Sharing needs isolation:
 //
 //   * Weighted fair scheduling: workers visit mounts deficit-round-robin.
 //     Each visit tops the mount's deficit up by quantum x weight and serves
@@ -52,12 +60,22 @@
 #include <vector>
 
 #include "src/fuse/fuse_conn.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_proto.h"
 #include "src/obs/metrics.h"
 #include "src/util/status.h"
 #include "src/analysis/lockdep.h"
 
 namespace cntr::fuse {
+
+class FuseHandler {
+ public:
+  virtual ~FuseHandler() = default;
+  // Handles one request and returns the reply. Runs on server threads;
+  // implementations must be thread-safe.
+  virtual FuseReply Handle(const FuseRequest& request) = 0;
+  // Called once when the connection shuts down.
+  virtual void OnDestroy() {}
+};
 
 // Lifecycle of one pooled mount (surfaced per mount through the
 // cntr_pool_mount_state gauge; see docs/robustness.md "Fleet resilience").
@@ -98,6 +116,19 @@ struct FuseServerPoolOptions {
   bool autoscale_channels = false;
   // Instrument registry; null = MetricsRegistry::Global().
   obs::MetricsRegistry* metrics = nullptr;
+
+  // A pool that serves a single mount: `threads` fixed workers and no
+  // background controller. A lone mount has no neighbour to shed or
+  // quarantine for, and its owner drives reconnects itself (a background
+  // one would race it).
+  static FuseServerPoolOptions Dedicated(int threads, obs::MetricsRegistry* metrics) {
+    FuseServerPoolOptions opts;
+    opts.min_threads = threads;
+    opts.max_threads = threads;
+    opts.controller_interval_ms = 0;
+    opts.metrics = metrics;
+    return opts;
+  }
 };
 
 class FuseServerPool {
@@ -126,9 +157,8 @@ class FuseServerPool {
   // The old connection, if any, is released un-aborted — the hook aborted
   // it long ago. Callable from the hook itself.
   Status AdoptConn(uint64_t id, std::shared_ptr<FuseConn> conn);
-  // Stops serving `id`: waits out in-flight dispatches, aborts the
-  // connection, and (by default) fires the handler's OnDestroy — the same
-  // contract as FuseServer::Stop.
+  // Stops serving `id`: aborts the connection, waits out in-flight
+  // dispatches, and (by default) fires the handler's OnDestroy.
   void RemoveMount(uint64_t id, bool notify_destroy = true);
 
   // Aborts every mount's connection and joins workers + controller.

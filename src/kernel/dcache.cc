@@ -25,7 +25,7 @@ DentryCache::DentryCache(SimClock* clock, const CostModel* costs, obs::MetricsRe
 }
 
 std::optional<InodePtr> DentryCache::LookupEntry(const Inode* dir, const std::string& name) {
-  Key key{dir, name};
+  Key key{dir->id(), name};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
@@ -54,7 +54,7 @@ std::optional<InodePtr> DentryCache::LookupEntry(const Inode* dir, const std::st
 
 void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr child,
                          uint64_t ttl_ns) {
-  Key key{dir, name};
+  Key key{dir->id(), name};
   Shard& shard = ShardFor(key);
   uint64_t expiry = ttl_ns == UINT64_MAX ? UINT64_MAX : clock_->NowNs() + ttl_ns;
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
@@ -79,7 +79,7 @@ void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr chi
 }
 
 void DentryCache::Invalidate(const Inode* dir, const std::string& name) {
-  Key key{dir, name};
+  Key key{dir->id(), name};
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
@@ -94,7 +94,7 @@ void DentryCache::InvalidateDir(const Inode* dir) {
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
     for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (it->first.dir == dir) {
+      if (it->first.dir == dir->id()) {
         shard.lru.erase(it->second.lru_it);
         it = shard.entries.erase(it);
         entries_->Add(-1);

@@ -88,15 +88,17 @@ class DentryCache {
   }
 
  private:
+  // Keyed by the parent's Inode::id(), not its address: nothing removes a
+  // dead directory's entries, and an inode allocated at the same address
+  // must not inherit them.
   struct Key {
-    const Inode* dir;
+    uint64_t dir;
     std::string name;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return HashCombine(HashMix64(reinterpret_cast<uintptr_t>(k.dir)),
-                         std::hash<std::string>()(k.name));
+      return HashCombine(HashMix64(k.dir), std::hash<std::string>()(k.name));
     }
   };
   struct Entry {

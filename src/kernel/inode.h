@@ -7,6 +7,7 @@
 #ifndef CNTR_SRC_KERNEL_INODE_H_
 #define CNTR_SRC_KERNEL_INODE_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,7 +60,8 @@ struct SetattrRequest {
 
 class Inode : public std::enable_shared_from_this<Inode> {
  public:
-  Inode(FileSystem* fs, Ino ino) : fs_(fs), ino_(ino) {}
+  Inode(FileSystem* fs, Ino ino)
+      : fs_(fs), ino_(ino), id_(next_id_.fetch_add(1, std::memory_order_relaxed)) {}
   virtual ~Inode() = default;
 
   Inode(const Inode&) = delete;
@@ -67,6 +69,11 @@ class Inode : public std::enable_shared_from_this<Inode> {
 
   FileSystem* fs() const { return fs_; }
   Ino ino() const { return ino_; }
+  // Kernel-wide identity of this inode object, never reused. Caches keyed
+  // per inode (dentries, xattr probes, bound sockets) key on it rather than
+  // on the object's address: the allocator hands a freed inode's address to
+  // the next one, which would inherit the dead inode's entries.
+  uint64_t id() const { return id_; }
 
   // --- metadata ---
   virtual StatusOr<InodeAttr> Getattr() = 0;
@@ -108,8 +115,11 @@ class Inode : public std::enable_shared_from_this<Inode> {
   virtual StatusOr<InodePtr> Parent();
 
  private:
+  inline static std::atomic<uint64_t> next_id_{1};
+
   FileSystem* fs_;
   Ino ino_;
+  uint64_t id_;
 };
 
 // Mode-aware permission check used by the VFS layer (mask is a combination

@@ -306,11 +306,13 @@ class Kernel {
   fault::FaultRegistry faults_{fault::FaultRegistry::kDefaultSeed, &metrics_};
 
   analysis::CheckedMutex sockets_mu_{"kernel.sockets"};
-  std::unordered_map<const Inode*, std::shared_ptr<ListeningSocket>> bound_sockets_;
+  // Both keyed by Inode::id(): nothing removes a dead inode's entry, and an
+  // inode allocated at its address must not inherit it.
+  std::unordered_map<uint64_t, std::shared_ptr<ListeningSocket>> bound_sockets_;
 
   // Per-inode "security.capability known absent" cache (native fs only).
   analysis::CheckedMutex xattr_probe_mu_{"kernel.xattr_probe"};
-  std::unordered_set<const Inode*> xattr_absent_;
+  std::unordered_set<uint64_t> xattr_absent_;
 
   AccessListener* access_listener_ = nullptr;
 };

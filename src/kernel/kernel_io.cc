@@ -594,7 +594,7 @@ Status Kernel::SetXattr(Process& proc, const std::string& path, const std::strin
   }
   {
     std::lock_guard<analysis::CheckedMutex> lock(xattr_probe_mu_);
-    xattr_absent_.erase(at.inode.get());
+    xattr_absent_.erase(at.inode->id());
   }
   return at.inode->SetXattr(name, value, flags);
 }
@@ -627,14 +627,14 @@ void Kernel::ChargeWriteXattrProbe(const InodePtr& inode) {
   bool native = inode->fs()->DentryTtlNs() == UINT64_MAX;
   if (native) {
     std::lock_guard<analysis::CheckedMutex> lock(xattr_probe_mu_);
-    if (xattr_absent_.count(inode.get()) != 0) {
+    if (xattr_absent_.count(inode->id()) != 0) {
       return;
     }
   }
   (void)inode->GetXattr("security.capability");
   if (native) {
     std::lock_guard<analysis::CheckedMutex> lock(xattr_probe_mu_);
-    xattr_absent_.insert(inode.get());
+    xattr_absent_.insert(inode->id());
   }
 }
 
@@ -669,7 +669,7 @@ StatusOr<Fd> Kernel::SocketListen(Process& proc, const std::string& path, int ba
   auto sock = std::make_shared<ListeningSocket>(&poll_hub_, backlog);
   {
     std::lock_guard<analysis::CheckedMutex> lock(sockets_mu_);
-    bound_sockets_[inode.get()] = sock;
+    bound_sockets_[inode->id()] = sock;
   }
   dcache_->Insert(dir.inode.get(), name, inode, dir.inode->fs()->DentryTtlNs());
   return proc.fds.Install(std::make_shared<ListeningSocketFile>(sock, inode, kORdWr), false);
@@ -699,7 +699,7 @@ StatusOr<Fd> Kernel::SocketConnect(Process& proc, const std::string& path) {
   std::shared_ptr<ListeningSocket> sock;
   {
     std::lock_guard<analysis::CheckedMutex> lock(sockets_mu_);
-    auto it = bound_sockets_.find(at.inode.get());
+    auto it = bound_sockets_.find(at.inode->id());
     if (it != bound_sockets_.end()) {
       sock = it->second;
     }

@@ -42,10 +42,10 @@ StatusOr<std::unique_ptr<BenchSide>> BenchSide::MakeCntrFs(const HarnessOptions&
                         core::CntrFsServer::Create(kernel, side->server_proc_, "/"));
 
   CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel, *kernel->init()));
-  side->fuse_server_ = std::make_unique<fuse::FuseServer>(fuse_dev.second, side->cntrfs_.get(),
-                                                          opts.server_threads,
-                                                          opts.fuse.num_channels);
-  side->fuse_server_->Start();
+  side->pool_ = std::make_unique<fuse::FuseServerPool>(
+      fuse::FuseServerPoolOptions::Dedicated(opts.server_threads, &kernel->metrics()));
+  fuse_dev.second->ConfigureChannels(opts.fuse.ChannelCount(opts.server_threads));
+  side->pool_->AddMount(fuse_dev.second, side->cntrfs_.get());
 
   CNTR_RETURN_IF_ERROR(kernel->Mkdir(*kernel->init(), "/cntrmnt", 0755));
   CNTR_ASSIGN_OR_RETURN(side->fuse_fs_, fuse::MountFuse(kernel, *kernel->init(), "/cntrmnt",
@@ -61,9 +61,7 @@ BenchSide::~BenchSide() {
   if (fuse_fs_ != nullptr) {
     fuse_fs_->Shutdown();
   }
-  if (fuse_server_ != nullptr) {
-    fuse_server_->Stop();
-  }
+  pool_.reset();
 }
 
 StatusOr<WorkloadResult> BenchSide::Run(Workload& workload) {

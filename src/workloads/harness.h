@@ -14,7 +14,7 @@
 
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_fs.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/workloads/workload.h"
 
 namespace cntr::workloads {
@@ -28,7 +28,8 @@ struct HarnessOptions {
 };
 
 // One measurement side: its own kernel, its own processes, and — for the
-// CntrFS side — a running passthrough server with the FUSE mount.
+// CntrFS side — a passthrough server served by a pool of its own, with the
+// FUSE mount.
 class BenchSide {
  public:
   static StatusOr<std::unique_ptr<BenchSide>> MakeNative(const HarnessOptions& opts);
@@ -54,7 +55,7 @@ class BenchSide {
   // CntrFS-side stack.
   kernel::ProcessPtr server_proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<fuse::FuseServer> fuse_server_;
+  std::unique_ptr<fuse::FuseServerPool> pool_;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
 };
 

@@ -35,7 +35,6 @@
 
 #include "src/analysis/lockdep.h"
 #include "src/fuse/fuse_conn.h"
-#include "src/fuse/fuse_server.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 #include "src/obs/metrics.h"

@@ -203,6 +203,21 @@ TEST_F(AttachTest, DetachStopsServerAndProcesses) {
   EXPECT_NE(session.value()->Execute("ls /"), "");
 }
 
+// fuse.num_channels is the channel count of every mount, plain attach
+// included (0 = one channel per server thread).
+TEST_F(AttachTest, AttachHonoursTheMountChannelCount) {
+  auto db = docker_->Run("db", MakeSlimAppImage("mysql"));
+  ASSERT_TRUE(db.ok());
+  AttachOptions opts;
+  opts.fuse.num_channels = 4;
+  auto session = cntr_->Attach("docker", "db", opts);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session.value()->fuse_fs()->conn().num_channels(), 4u);
+  // The tools tree at / is the CNTRFS mount, served across the four queues.
+  std::string ls = session.value()->Execute("ls /");
+  EXPECT_NE(ls.find("data"), std::string::npos) << ls;
+}
+
 TEST_F(AttachTest, InteractiveShellOverPty) {
   auto db = docker_->Run("db", MakeSlimAppImage("mysql"));
   ASSERT_TRUE(db.ok());

@@ -18,7 +18,7 @@
 #include "src/core/socket_proxy.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fault {
@@ -109,7 +109,7 @@ TEST(FaultRegistryTest, CatalogueListsEveryCompiledInPoint) {
   auto points = FaultRegistry::Points();
   for (const char* want :
        {"kernel.splice", "kernel.vmsplice", "kernel.socket.accept", "kernel.socket.connect",
-        "fuse.conn.enqueue", "fuse.conn.reply", "fuse.lane.transit", "fuse.server.worker",
+        "fuse.conn.enqueue", "fuse.conn.reply", "fuse.lane.transit", "fuse.pool.dispatch",
         "fuse.flusher", "cntrfs.dispatch", "proxy.accept", "proxy.pump"}) {
     EXPECT_NE(std::find(points.begin(), points.end(), want), points.end())
         << "missing injection point: " << want;
@@ -285,8 +285,9 @@ class FaultFsTest : public ::testing::Test {
     cntrfs_ = std::move(server).value();
     auto dev = fuse::OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
-    fuse_server_ = std::make_unique<fuse::FuseServer>(dev->second, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<fuse::FuseServerPool>(
+        fuse::FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(dev->second, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = fuse::MountFuse(kernel_.get(), *kernel_->init(), "/m", dev->second, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -301,9 +302,7 @@ class FaultFsTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       (void)fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   FaultRegistry& faults() { return kernel_->faults(); }
@@ -312,7 +311,7 @@ class FaultFsTest : public ::testing::Test {
   kernel::ProcessPtr server_proc_;
   kernel::ProcessPtr proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<fuse::FuseServer> fuse_server_;
+  std::unique_ptr<fuse::FuseServerPool> pool_;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
 };
 
@@ -334,10 +333,11 @@ TEST_F(FaultFsTest, WorkerDeathDegradesTheMountToEio) {
   FaultSpec spec;
   spec.action = FaultAction::kKill;
   spec.one_shot = true;
-  faults().Arm("fuse.server.worker", spec);
-  // The killed worker aborts the connection on its way out: the op that hit
-  // it and every one after answer EIO at the filesystem boundary — a dead
-  // mount looks like a dead disk, it does not wedge or speak ENOTCONN.
+  faults().Arm("fuse.pool.dispatch", spec);
+  // The kill crashes the mount's filesystem and aborts its connection: the
+  // op that hit it and every one after answer EIO at the filesystem
+  // boundary — a dead mount looks like a dead disk, it does not wedge or
+  // speak ENOTCONN.
   auto fd = kernel_->Open(*proc_, "/m/tmp/crash", kernel::kOWrOnly | kernel::kOCreat, 0644);
   EXPECT_EQ(fd.error(), EIO);
   EXPECT_TRUE(fuse_fs_->conn().aborted());
@@ -355,7 +355,7 @@ TEST_F(FaultFsTest, DeadlineTimeoutsAutoAbortAStalledMount) {
   // wedged-server shape only the deadline machinery can resolve.
   FaultSpec spec;
   spec.action = FaultAction::kDrop;
-  faults().Arm("fuse.server.worker", spec);
+  faults().Arm("fuse.pool.dispatch", spec);
   EXPECT_EQ(kernel_->Stat(*proc_, "/m/tmp/wedge").error(), ETIMEDOUT);
   faults().DisarmAll();
   // One miss tripped the auto-abort: the mount is now cleanly dead.

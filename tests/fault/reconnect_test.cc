@@ -15,7 +15,7 @@
 #include "src/fault/fault.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fault {
@@ -33,8 +33,9 @@ class ReconnectTest : public ::testing::Test {
     cntrfs_ = std::move(server).value();
     auto dev = fuse::OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
-    fuse_server_ = std::make_unique<fuse::FuseServer>(dev->second, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<fuse::FuseServerPool>(
+        fuse::FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    mount_id_ = pool_->AddMount(dev->second, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = fuse::MountFuse(kernel_.get(), *kernel_->init(), "/m", dev->second, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -43,13 +44,11 @@ class ReconnectTest : public ::testing::Test {
   }
 
   // Replacement transport over the same CntrFsServer: new /dev/fuse
-  // connection, new server threads, FuseFs::Reconnect.
+  // connection adopted by the pool, FuseFs::Reconnect.
   void DoReconnect() {
-    fuse_server_->Stop(/*notify_destroy=*/false);
     auto dev = fuse::OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
-    fuse_server_ = std::make_unique<fuse::FuseServer>(dev->second, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    ASSERT_TRUE(pool_->AdoptConn(mount_id_, dev->second).ok());
     Status rc = fuse_fs_->Reconnect(dev->second);
     ASSERT_TRUE(rc.ok()) << rc.ToString();
   }
@@ -61,11 +60,8 @@ class ReconnectTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       (void)fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
     fuse_fs_.reset();
-    fuse_server_.reset();
     cntrfs_.reset();
     proc_.reset();
     server_proc_.reset();
@@ -78,7 +74,8 @@ class ReconnectTest : public ::testing::Test {
   kernel::ProcessPtr server_proc_;
   kernel::ProcessPtr proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<fuse::FuseServer> fuse_server_;
+  std::unique_ptr<fuse::FuseServerPool> pool_;
+  uint64_t mount_id_ = 0;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
 };
 
@@ -89,9 +86,8 @@ TEST_F(ReconnectTest, ReconnectRestoresServiceAndReopensLiveHandles) {
   ASSERT_TRUE(kernel_->Write(*proc_, fd.value(), "hello", 5).ok());
   ASSERT_TRUE(kernel_->Fsync(*proc_, fd.value()).ok());
 
-  // Crash: the server threads die and take the transport with them.
-  fuse_server_->Stop(/*notify_destroy=*/false);
-  ASSERT_TRUE(fuse_fs_->conn().aborted());
+  // Crash: the transport dies under the server.
+  fuse_fs_->conn().Abort();
   // Cached attributes may still answer within their TTL; anything needing a
   // round trip sees the dead mount.
   EXPECT_EQ(kernel_->Stat(*proc_, "/m/tmp/uncached-name").error(), EIO);
@@ -150,10 +146,10 @@ TEST_F(ReconnectTest, KillAtOpNSweepDegradesCleanlyEverywhere) {
       Mount(opts);
 
       FaultSpec spec;
-      // The worker loop honours kKill (the thread dies and aborts the
-      // connection); everywhere else a hard error exercises the same
+      // Pool dispatch honours kKill (the mount's filesystem crashes and its
+      // connection aborts); everywhere else a hard error exercises the same
       // degradation surface without leaving anything un-joinable.
-      spec.action = point == "fuse.server.worker" ? FaultAction::kKill : FaultAction::kFail;
+      spec.action = point == "fuse.pool.dispatch" ? FaultAction::kKill : FaultAction::kFail;
       spec.error = EIO;
       spec.fail_at = n;
       spec.one_shot = true;

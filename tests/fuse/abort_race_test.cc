@@ -15,7 +15,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -89,8 +89,9 @@ class AbortRaceFsTest : public ::testing::Test {
     cntrfs_ = std::move(server).value();
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
-    fuse_server_ = std::make_unique<FuseServer>(dev->second, cntrfs_.get(), 4);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(4, &kernel_->metrics()));
+    pool_->AddMount(dev->second, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", dev->second, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -101,15 +102,13 @@ class AbortRaceFsTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       (void)fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   std::unique_ptr<kernel::Kernel> kernel_;
   kernel::ProcessPtr server_proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

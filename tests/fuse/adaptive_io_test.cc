@@ -18,7 +18,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -69,8 +69,9 @@ class AdaptiveIoTest : public ::testing::Test {
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
     conn_ = dev->second;
-    fuse_server_ = std::make_unique<FuseServer>(conn_, handler_, 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(conn_, handler_);
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", conn_, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -82,15 +83,12 @@ class AdaptiveIoTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   void Remount(FuseMountOptions opts, bool legacy_server = false) {
     TearDown();
     fuse_fs_.reset();
-    fuse_server_.reset();
     conn_.reset();
     legacy_.reset();
     cntrfs_.reset();
@@ -186,7 +184,7 @@ class AdaptiveIoTest : public ::testing::Test {
   std::unique_ptr<core::CntrFsServer> cntrfs_;
   std::unique_ptr<LegacyInitHandler> legacy_;
   FuseHandler* handler_ = nullptr;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

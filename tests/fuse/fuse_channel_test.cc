@@ -13,7 +13,6 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -178,10 +177,11 @@ TEST(FuseChannelTest, ChannelCountClampsAndFreezesUnderTraffic) {
   EXPECT_EQ(conn.ConfigureChannels(0), 1u);
   EXPECT_EQ(conn.ConfigureChannels(FuseConn::kMaxChannels * 2), FuseConn::kMaxChannels);
   EXPECT_EQ(conn.ConfigureChannels(4), 4u);
-  // With a reader registered the shape is frozen.
-  conn.AddReader(0);
+  // With a request queued the shape is frozen: a reshape would strand it on
+  // a retired channel.
+  conn.SendNoReply(ForgetFrom(1));
   EXPECT_EQ(conn.ConfigureChannels(8), 4u);
-  conn.RemoveReader(0);
+  ASSERT_TRUE(conn.ReadRequest(conn.RouteChannel(1)).has_value());
   EXPECT_EQ(conn.ConfigureChannels(8), 8u);
   conn.Abort();
 }
@@ -190,11 +190,10 @@ TEST(FuseChannelTest, ContentionPremiumIsPerChannel) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 2);
-  // Channel 0 is crowded (4 home readers), channel 1 has one.
-  for (int i = 0; i < 4; ++i) {
-    conn.AddReader(0);
-  }
-  conn.AddReader(1);
+  // Five workers homed i % 2: channel 0 has three readers, channel 1 two.
+  conn.SetServerParallelism(5);
+  EXPECT_EQ(conn.ChannelReaders(0), 3u);
+  EXPECT_EQ(conn.ChannelReaders(1), 2u);
 
   auto measure = [&](kernel::Pid pid) {
     std::thread server([&] {
@@ -210,8 +209,9 @@ TEST(FuseChannelTest, ContentionPremiumIsPerChannel) {
   };
   uint64_t crowded = measure(PidOnChannel(conn, 0));
   uint64_t quiet = measure(PidOnChannel(conn, 1));
-  EXPECT_EQ(crowded - quiet, 3 * costs.fuse_thread_contention_ns)
+  EXPECT_EQ(crowded, costs.fuse_round_trip_ns + 2 * costs.fuse_thread_contention_ns)
       << "premium must scale with the readers of the request's channel only";
+  EXPECT_EQ(quiet, costs.fuse_round_trip_ns + costs.fuse_thread_contention_ns);
   conn.Abort();
 }
 

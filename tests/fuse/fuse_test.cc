@@ -8,7 +8,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -131,13 +131,11 @@ TEST(FuseConnTest, ContentionCostGrowsWithReaders) {
     if (profile == RingProfile::kRing) {
       EXPECT_GT(conn->ConfigureRing(kDefaultRingDepth), 0u);
     }
-    for (int i = 0; i < readers; ++i) {
-      conn->AddReader();
-    }
+    conn->SetServerParallelism(static_cast<uint32_t>(readers));
     return conn;
   };
-  // Paper profile (Figure 4): every reader homed on the channel past the
-  // first adds the contention premium to each round trip.
+  // Paper profile (Figure 4): every server thread homed on the channel past
+  // the first adds the contention premium to each round trip.
   EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(1, RingProfile::kPaper)),
             costs.fuse_round_trip_ns);
   EXPECT_EQ(MeasureRoundTrip(clock, *with_readers(8, RingProfile::kPaper)),
@@ -164,8 +162,9 @@ class FuseFsTest : public ::testing::Test {
     cntrfs_ = std::move(server).value();
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
-    fuse_server_ = std::make_unique<FuseServer>(dev->second, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(dev->second, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", dev->second, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -177,16 +176,14 @@ class FuseFsTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   std::unique_ptr<kernel::Kernel> kernel_;
   kernel::ProcessPtr server_proc_;
   kernel::ProcessPtr proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

@@ -14,7 +14,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -35,8 +35,9 @@ class ReaddirPlusTest : public ::testing::Test {
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
     conn_ = dev->second;
-    fuse_server_ = std::make_unique<FuseServer>(conn_, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(conn_, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", conn_, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -82,9 +83,7 @@ class ReaddirPlusTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   std::unique_ptr<kernel::Kernel> kernel_;
@@ -92,7 +91,7 @@ class ReaddirPlusTest : public ::testing::Test {
   kernel::ProcessPtr proc_;
   std::shared_ptr<FuseConn> conn_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

@@ -17,7 +17,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -379,6 +379,25 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   conn.Abort();
 }
 
+// The paper's server thread takes one request per read of /dev/fuse, and
+// the cap lives in the reap itself, so a pool worker's non-blocking visit
+// honours it too; the ring profile still drains the burst.
+TEST(RingTransportTest, PaperProfileReapsOneRequestPerPoolVisit) {
+  SimClock clock;
+  CostModel costs;
+  for (RingProfile profile : {RingProfile::kPaper, RingProfile::kRing}) {
+    FuseConn conn(&clock, &costs, 1);
+    if (profile == RingProfile::kRing) {
+      ASSERT_GT(conn.ConfigureRing(64), 0u);
+    }
+    for (int i = 0; i < 3; ++i) {
+      conn.SendNoReply(ForgetFrom(9));
+    }
+    EXPECT_EQ(conn.TryReadRequestBatch(0).size(), profile == RingProfile::kPaper ? 1u : 3u);
+    conn.Abort();
+  }
+}
+
 TEST(RingTransportTest, QueuedDepthNeverWrapsUnderConcurrentReaps) {
   SimClock clock;
   CostModel costs;
@@ -440,8 +459,9 @@ class RingMountTest : public ::testing::Test {
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
     conn_ = dev->second;
-    fuse_server_ = std::make_unique<FuseServer>(conn_, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(conn_, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", conn_, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -453,15 +473,12 @@ class RingMountTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   void Remount(FuseMountOptions opts) {
     TearDown();
     fuse_fs_.reset();
-    fuse_server_.reset();
     conn_.reset();
     cntrfs_.reset();
     proc_.reset();
@@ -523,7 +540,7 @@ class RingMountTest : public ::testing::Test {
   kernel::ProcessPtr proc_;
   std::shared_ptr<FuseConn> conn_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

@@ -13,7 +13,7 @@
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::fuse {
@@ -42,8 +42,9 @@ class SpliceTransportTest : public ::testing::Test {
     auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok());
     conn_ = dev->second;
-    fuse_server_ = std::make_unique<FuseServer>(conn_, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<FuseServerPool>(
+        FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(conn_, cntrfs_.get());
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = MountFuse(kernel_.get(), *kernel_->init(), "/m", conn_, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -55,9 +56,7 @@ class SpliceTransportTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   // Full teardown in dependency order so a test can mount a second, fresh
@@ -65,7 +64,6 @@ class SpliceTransportTest : public ::testing::Test {
   void Remount(FuseMountOptions opts) {
     TearDown();
     fuse_fs_.reset();
-    fuse_server_.reset();
     conn_.reset();
     cntrfs_.reset();
     proc_.reset();
@@ -144,7 +142,7 @@ class SpliceTransportTest : public ::testing::Test {
   kernel::ProcessPtr proc_;
   std::shared_ptr<FuseConn> conn_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<FuseServer> fuse_server_;
+  std::unique_ptr<FuseServerPool> pool_;
   std::shared_ptr<FuseFs> fuse_fs_;
 };
 

@@ -9,7 +9,7 @@
 
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 #include "src/util/rng.h"
 
@@ -22,7 +22,7 @@ struct Side {
   kernel::ProcessPtr proc;
   kernel::ProcessPtr server_proc;
   std::unique_ptr<core::CntrFsServer> cntrfs;
-  std::unique_ptr<fuse::FuseServer> fuse_server;
+  std::unique_ptr<fuse::FuseServerPool> pool;
   std::shared_ptr<fuse::FuseFs> fuse_fs;
   std::string base;
 
@@ -30,9 +30,7 @@ struct Side {
     if (fuse_fs != nullptr) {
       fuse_fs->Shutdown();
     }
-    if (fuse_server != nullptr) {
-      fuse_server->Stop();
-    }
+    pool.reset();
   }
 };
 
@@ -49,8 +47,9 @@ std::unique_ptr<Side> MakeSide(bool through_cntr) {
     side->cntrfs = std::move(server).value();
     auto dev = fuse::OpenFuseDevice(k, *k->init());
     EXPECT_TRUE(dev.ok());
-    side->fuse_server = std::make_unique<fuse::FuseServer>(dev->second, side->cntrfs.get(), 2);
-    side->fuse_server->Start();
+    side->pool = std::make_unique<fuse::FuseServerPool>(
+        fuse::FuseServerPoolOptions::Dedicated(2, &k->metrics()));
+    side->pool->AddMount(dev->second, side->cntrfs.get());
     EXPECT_TRUE(k->Mkdir(*k->init(), "/m", 0755).ok());
     auto fs = fuse::MountFuse(k, *k->init(), "/m", dev->second,
                               fuse::FuseMountOptions::Optimized());

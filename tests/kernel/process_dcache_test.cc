@@ -2,6 +2,8 @@
 // pieces whose behaviour drives CNTR's lookup-cost story.
 #include <gtest/gtest.h>
 
+#include <new>
+
 #include "src/kernel/dcache.h"
 #include "src/kernel/kernel.h"
 
@@ -202,6 +204,38 @@ TEST(DentryCacheTest, InvalidateDirSweepsEveryShard) {
   dcache.InvalidateDir(root.get());
   EXPECT_EQ(dcache.size(), 0u);
   EXPECT_EQ(dcache.Lookup(root.get(), "sweep-0"), nullptr);
+}
+
+// A bare directory inode: all the dentry cache needs of a parent.
+class StubDir : public Inode {
+ public:
+  using Inode::Inode;
+  StatusOr<InodeAttr> Getattr() override { return InodeAttr{}; }
+};
+
+// Nothing removes a dead directory's entries, and the allocator hands its
+// storage to the next inode. A directory of another mount that lands there
+// must not inherit them: entries are keyed by Inode::id(), never reused.
+TEST(DentryCacheTest, ReusedDirectoryAddressDoesNotInheritEntries) {
+  SimClock clock;
+  CostModel costs;
+  auto kernel = Kernel::Create();  // outlives the cache: entries pin inodes
+  obs::MetricsRegistry metrics;
+  DentryCache dcache(&clock, &costs, metrics);
+  auto etc = kernel->root_fs()->root()->Lookup("etc");
+  ASSERT_TRUE(etc.ok());
+
+  alignas(StubDir) unsigned char storage[sizeof(StubDir)];
+  auto* a = new (storage) StubDir(nullptr, 2);
+  dcache.Insert(a, "fleet", etc.value(), UINT64_MAX);
+  EXPECT_NE(dcache.Lookup(a, "fleet"), nullptr);
+  a->~StubDir();
+
+  auto* b = new (storage) StubDir(kernel->root_fs().get(), 2);
+  ASSERT_EQ(static_cast<void*>(b), static_cast<void*>(a));
+  EXPECT_EQ(dcache.Lookup(b, "fleet"), nullptr)
+      << "a directory at a dead one's address answered with the dead one's child";
+  b->~StubDir();
 }
 
 // The entry gauge is bookkeeping at every insert and removal site; each

@@ -14,7 +14,7 @@
 
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_mount.h"
-#include "src/fuse/fuse_server.h"
+#include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
 
 namespace cntr::xfstests {
@@ -41,8 +41,9 @@ class XfsTest : public ::testing::Test {
 
     auto dev = fuse::OpenFuseDevice(kernel_.get(), *kernel_->init());
     ASSERT_TRUE(dev.ok()) << dev.status().ToString();
-    fuse_server_ = std::make_unique<fuse::FuseServer>(dev->second, cntrfs_.get(), 2);
-    fuse_server_->Start();
+    pool_ = std::make_unique<fuse::FuseServerPool>(
+        fuse::FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
+    pool_->AddMount(dev->second, cntrfs_.get());
 
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/mnt", 0755).ok());
     auto mounted = fuse::MountFuse(kernel_.get(), *kernel_->init(), "/mnt", dev->second,
@@ -57,9 +58,7 @@ class XfsTest : public ::testing::Test {
     if (fuse_fs_ != nullptr) {
       fuse_fs_->Shutdown();
     }
-    if (fuse_server_ != nullptr) {
-      fuse_server_->Stop();
-    }
+    pool_.reset();
   }
 
   // Test directory on the CntrFS mount, backed by the scratch tmpfs.
@@ -105,7 +104,7 @@ class XfsTest : public ::testing::Test {
   kernel::ProcessPtr server_proc_;
   kernel::ProcessPtr proc_;
   std::unique_ptr<core::CntrFsServer> cntrfs_;
-  std::unique_ptr<fuse::FuseServer> fuse_server_;
+  std::unique_ptr<fuse::FuseServerPool> pool_;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
 };
 
