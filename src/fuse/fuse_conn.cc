@@ -1,10 +1,12 @@
 #include "src/fuse/fuse_conn.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <type_traits>
 
+#include "src/kernel/pipe.h"
 #include "src/util/hash.h"
 #include "src/analysis/lockdep.h"
 
@@ -37,15 +39,6 @@ struct PackedDirentPlus {
   kernel::InodeAttr attr;
 };
 static_assert(std::is_trivially_copyable_v<PackedDirentPlus>);
-
-std::vector<kernel::PipeSegment> SegmentsOf(const std::vector<splice::PageRef>& pages) {
-  std::vector<kernel::PipeSegment> segs;
-  segs.reserve(pages.size());
-  for (const splice::PageRef& ref : pages) {
-    segs.push_back(kernel::PipeSegment::Of(ref));
-  }
-  return segs;
-}
 
 }  // namespace
 
@@ -281,37 +274,21 @@ size_t FuseConn::ConfigureRing(size_t depth, uint32_t spin_budget, RingProfile p
 
 size_t FuseConn::ConfigureChannels(size_t requested) {
   size_t n = std::clamp<size_t>(requested, 1, kMaxChannels);
-  std::lock_guard<analysis::CheckedMutex> config(config_mu_);
-  // Reshaping with traffic in flight would orphan queued uniques (their
-  // channel index is baked into the id), so only honour the request on a
-  // quiet connection. Old channels stay in owned_channels_, so even a
-  // sender racing this (a protocol violation — the server reshapes before
-  // it starts answering) only ever sees valid memory.
-  if (n != num_channels() && Quiet()) {
-    const RingState& ring = Channel(0).ring();
-    InstallChannels(n, ring.depth, ring.profile);
-    RecomputeSpinBudget();
-  }
-  return num_channels();
-}
-
-size_t FuseConn::TryReshapeChannels(size_t requested) {
-  size_t n = std::clamp<size_t>(requested, 1, kMaxChannels);
-  // Exclusive acquisition proves no submitter is inside its route-to-enqueue
+  // Exclusive acquisition proves no submitter is inside its route-to-wait
   // window (they hold reshape_mu_ shared for the whole send); try_lock keeps
-  // the controller non-blocking — a busy connection just isn't reshaped this
-  // round.
+  // the caller non-blocking — a busy connection just keeps its shape.
   std::unique_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_, std::try_to_lock);
   if (!reshape.owns_lock()) {
     return num_channels();
   }
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
+  // Queued uniques bake their channel index in, so traffic pins the shape.
   if (n == num_channels() || !Quiet()) {
     return num_channels();
   }
   size_t lane_cap = 0;
   for (const auto& ch : owned_channels_) {
-    lane_cap = std::max(lane_cap, ch->lane_out[0]->capacity());
+    lane_cap = std::max(lane_cap, ch->lanes.capacity());
   }
   const RingState& ring = Channel(0).ring();
   InstallChannels(n, ring.depth, ring.profile);
@@ -320,10 +297,7 @@ size_t FuseConn::TryReshapeChannels(size_t requested) {
   // payload window behind the mount's back.
   if (lane_cap > kDefaultLanePages * kernel::kPageSize) {
     for (size_t i = owned_channels_.size() - n; i < owned_channels_.size(); ++i) {
-      for (size_t l = 0; l < kLanePoolSize; ++l) {
-        (void)owned_channels_[i]->lane_in[l]->SetCapacity(lane_cap);
-        (void)owned_channels_[i]->lane_out[l]->SetCapacity(lane_cap);
-      }
+      (void)owned_channels_[i]->lanes.Resize(lane_cap);
     }
   }
   RecomputeSpinBudget();
@@ -332,26 +306,6 @@ size_t FuseConn::TryReshapeChannels(size_t requested) {
 
 size_t FuseConn::RouteChannel(kernel::Pid pid) const {
   return HashMix64(static_cast<uint64_t>(pid)) % num_channels();
-}
-
-void FuseConn::NotifyWork() {
-  // Pool workers never park in ReadRequestBatch (they use the non-blocking
-  // drain), so the idle-worker handshake below cannot reach them; the
-  // observer is their doorbell.
-  NotifyWorkObserver();
-  // Busy-server fast path: no parked worker, no global lock — the enqueue
-  // touched only its channel's ring. The seq_cst pairing with ReadRequest
-  // (queued_total_ store before idle_workers_ load here; idle_workers_
-  // increment before queued_total_ re-check there) guarantees that either
-  // we see the parked worker or it sees our request.
-  if (idle_workers_.load() == 0) {
-    return;
-  }
-  // Empty critical section: a worker that evaluated "no work" under idle_mu_
-  // is already parked in wait() by the time we acquire, so the notify below
-  // cannot be lost.
-  { std::lock_guard<analysis::CheckedMutex> lock(idle_mu_); }
-  work_cv_.notify_one();
 }
 
 namespace {
@@ -370,7 +324,72 @@ uint64_t FlattenPages(std::vector<splice::PageRef>& pages, std::string& data, Si
   return bytes;
 }
 
+uint64_t PayloadBytes(const std::vector<splice::PageRef>& pages) {
+  uint64_t bytes = 0;
+  for (const splice::PageRef& ref : pages) {
+    bytes += ref.len;
+  }
+  return bytes;
+}
+
 }  // namespace
+
+std::optional<uint32_t> LaneLedger::Claim(Dir dir, uint64_t bytes) {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  for (size_t i = 0; i < kLanePoolSize; ++i) {
+    uint64_t& held = held_[dir][i];
+    if (held + bytes <= capacity_) {
+      held += bytes;
+      return static_cast<uint32_t>(i);
+    }
+  }
+  return std::nullopt;
+}
+
+void LaneLedger::Release(Dir dir, uint32_t idx, uint64_t bytes) {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  uint64_t& held = held_[dir][idx % kLanePoolSize];
+  held -= std::min(held, bytes);
+}
+
+StatusOr<size_t> LaneLedger::Resize(size_t bytes) {
+  if (bytes == 0) {
+    return Status::Error(EINVAL);
+  }
+  if (bytes > kernel::kPipeMaxCapacity) {
+    return Status::Error(EPERM, "pipe size beyond pipe-max-size");
+  }
+  const size_t rounded = std::bit_ceil(std::max(bytes, kernel::kPipeMinCapacity));
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  for (const auto& lanes : held_) {
+    if (*std::max_element(lanes.begin(), lanes.end()) > rounded) {
+      return Status::Error(EBUSY, "lane holds more data than the requested size");
+    }
+  }
+  capacity_ = rounded;
+  return rounded;
+}
+
+void LaneLedger::Clear() {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  held_ = {};
+}
+
+size_t LaneLedger::capacity() const {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  return capacity_;
+}
+
+uint64_t LaneLedger::held() const {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  uint64_t total = 0;
+  for (const auto& lanes : held_) {
+    for (uint64_t bytes : lanes) {
+      total += bytes;
+    }
+  }
+  return total;
+}
 
 // Fallback pressure needed before the autosizer doubles a lane that the
 // payload *would* fit: repeated lane-full bounces mean in-flight payloads
@@ -381,7 +400,7 @@ bool FuseConn::MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes) {
   if (!lane_autosize()) {
     return false;
   }
-  size_t cap = ch.lane_out[0]->capacity();
+  size_t cap = ch.lanes.capacity();
   size_t target = cap;
   if (wanted_bytes > cap) {
     // The payload can never fit a lane at this size: grow straight to
@@ -392,43 +411,15 @@ bool FuseConn::MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes) {
     target = cap * 2;
   }
   target = std::min<size_t>(target, kernel::kPipeMaxCapacity);
-  if (target <= cap) {
+  // Growing never hits EBUSY and the min above respects the 1 MiB ceiling;
+  // only a racing resize can make this one fail.
+  if (target <= cap || !ch.lanes.Resize(target).ok()) {
     return false;
   }
-  // The whole pool stays symmetric. EBUSY (in-flight payload above the
-  // target on a shrinking ring) cannot happen on growth; a failure here is
-  // only the 1MiB ceiling, which the min above already respects.
-  bool grew = false;
-  for (size_t i = 0; i < kLanePoolSize; ++i) {
-    for (auto* lane : {ch.lane_in[i].get(), ch.lane_out[i].get()}) {
-      grew |= lane->SetCapacity(target).ok();
-    }
-  }
-  if (grew) {
-    ch.fallback_pressure.store(0, std::memory_order_relaxed);
-    lane_growths_->Add();
-  }
-  return grew;
+  ch.fallback_pressure.store(0, std::memory_order_relaxed);
+  lane_growths_->Add();
+  return true;
 }
-
-namespace {
-
-// Pushes `pages` onto the first lane of `pool` with room (all-or-nothing
-// per lane). Returns the lane index, or nullopt when every lane is full.
-std::optional<uint32_t> PushToPool(
-    const std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize>& pool,
-    const std::vector<splice::PageRef>& pages) {
-  for (size_t i = 0; i < kLanePoolSize; ++i) {
-    auto pushed = pool[i]->PushSegments(SegmentsOf(pages),
-                                        /*nonblock=*/true, /*require_all=*/true);
-    if (pushed.ok()) {
-      return static_cast<uint32_t>(i);
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
   bool splice_on = ch.splice_enabled.load(std::memory_order_acquire);
@@ -439,10 +430,7 @@ void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
   if (!request.spliced || request.payload_pages.empty()) {
     return;
   }
-  uint64_t bytes = 0;
-  for (const splice::PageRef& ref : request.payload_pages) {
-    bytes += ref.len;
-  }
+  const uint64_t bytes = PayloadBytes(request.payload_pages);
   if (faults_ != nullptr && splice_on) {
     if (auto hit = faults_->Check(kFaultLaneTransit)) {
       // An unusable lane is not fatal to the request — the payload takes
@@ -455,9 +443,9 @@ void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
     // All-or-nothing per lane: the payload occupies lane capacity until the
     // server consumes the request (ReleaseRequestLane at reap), which is the
     // backpressure a real pipe applies to concurrent spliced writers.
-    auto lane = PushToPool(ch.lane_in, request.payload_pages);
+    auto lane = ch.lanes.Claim(LaneLedger::kIn, bytes);
     if (!lane.has_value() && MaybeGrowLanes(ch, bytes)) {
-      lane = PushToPool(ch.lane_in, request.payload_pages);
+      lane = ch.lanes.Claim(LaneLedger::kIn, bytes);
     }
     if (lane.has_value()) {
       request.lane_idx = *lane;
@@ -474,14 +462,10 @@ void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
 }
 
 void FuseConn::ReleaseRequestLane(FuseChannel& ch, const FuseRequest& request) {
-  if (!request.spliced || request.payload_pages.empty()) {
-    return;
+  if (request.spliced && !request.payload_pages.empty()) {
+    ch.lanes.Release(LaneLedger::kIn, request.lane_idx,
+                     PayloadBytes(request.payload_pages));
   }
-  uint64_t bytes = 0;
-  for (const splice::PageRef& ref : request.payload_pages) {
-    bytes += ref.len;
-  }
-  ch.lane_in[request.lane_idx % kLanePoolSize]->DrainBytes(bytes);
 }
 
 void FuseConn::GateReplyPayload(FuseChannel& ch, FuseReply& reply) {
@@ -497,9 +481,9 @@ void FuseConn::GateReplyPayload(FuseChannel& ch, FuseReply& reply) {
     }
   }
   if (splice_on) {
-    auto lane = PushToPool(ch.lane_out, reply.pages);
+    auto lane = ch.lanes.Claim(LaneLedger::kOut, bytes);
     if (!lane.has_value() && MaybeGrowLanes(ch, bytes)) {
-      lane = PushToPool(ch.lane_out, reply.pages);
+      lane = ch.lanes.Claim(LaneLedger::kOut, bytes);
     }
     if (lane.has_value()) {
       reply.spliced = true;
@@ -517,20 +501,16 @@ void FuseConn::GateReplyPayload(FuseChannel& ch, FuseReply& reply) {
 
 StatusOr<size_t> FuseConn::SetLaneCapacity(size_t bytes) {
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
-  // Best effort across the whole channel set: a failure on one lane (EBUSY
-  // with payload in flight) must not strand the rest at a different size.
+  // Best effort across the whole channel set: a failure on one channel
+  // (EBUSY with payload in flight) must not strand the rest at the old size.
   StatusOr<size_t> result = Status::Error(EINVAL);
   std::optional<Status> first_error;
   for (const auto& ch : owned_channels_) {
-    for (size_t i = 0; i < kLanePoolSize; ++i) {
-      for (auto* lane : {ch->lane_in[i].get(), ch->lane_out[i].get()}) {
-        auto cap = lane->SetCapacity(bytes);
-        if (cap.ok()) {
-          result = cap.value();
-        } else if (!first_error.has_value()) {
-          first_error = cap.status();
-        }
-      }
+    auto cap = ch->lanes.Resize(bytes);
+    if (cap.ok()) {
+      result = cap.value();
+    } else if (!first_error.has_value()) {
+      first_error = cap.status();
     }
   }
   if (first_error.has_value()) {
@@ -662,7 +642,7 @@ StatusOr<FuseReply> FuseConn::SendAndWait(FuseRequest request) {
   }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
 
-  // Route-to-wait window: held shared so a live reshape (TryReshapeChannels)
+  // Route-to-wait window: held shared so a live reshape (ConfigureChannels)
   // or a ring replacement (ConfigureRing) can never swap the channel set or
   // the ring while this request's channel index and slot are in hand (the
   // unique bakes both in; a torn view would strand the reply).
@@ -712,50 +692,6 @@ void FuseConn::SendNoReply(FuseRequest request) {
     // Fire-and-forget submissions have no span (nothing waits, so there is
     // no wake to measure); the outcome counter still ticks per opcode.
     RecordOutcome(op, nullptr, obs::Outcome::kOk, false);
-  }
-}
-
-std::optional<FuseRequest> FuseConn::ReadRequest(size_t home_channel) {
-  std::vector<FuseRequest> batch = ReadRequestBatch(home_channel, 1);
-  if (batch.empty()) {
-    return std::nullopt;
-  }
-  return std::move(batch.front());
-}
-
-std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
-                                                    size_t max_batch) {
-  std::vector<FuseRequest> batch;
-  const size_t n = num_channels();
-  const size_t home = home_channel % n;
-  const size_t want = std::clamp<size_t>(max_batch, 1, kRingReapBatch);
-  while (true) {
-    // Home channel first, then steal from siblings in ring order so a
-    // single hot channel still drains through every idle worker.
-    for (size_t i = 0; i < n; ++i) {
-      FuseChannel& ch = Channel((home + i) % n);
-      if (RingReap(ch, ch.ring(), batch, want) > 0) {
-        return batch;
-      }
-    }
-    std::unique_lock<analysis::CheckedMutex> idle(idle_mu_);
-    idle_workers_.fetch_add(1);  // seq_cst: pairs with NotifyWork's fast path
-    if (queued_total_.load() > 0) {
-      idle_workers_.fetch_sub(1);
-      continue;  // raced with an enqueue; rescan
-    }
-    if (aborted()) {
-      idle_workers_.fetch_sub(1);
-      return batch;  // empty
-    }
-    // Doorbells are best-effort (and can be injected away); the bounded
-    // park makes a lost one cost at most a tick, not a hang.
-    work_cv_.wait_for(idle, std::chrono::milliseconds(1),
-                      [&] { return queued_total_.load() > 0 || aborted(); });
-    idle_workers_.fetch_sub(1);
-    if (queued_total_.load() == 0 && aborted()) {
-      return batch;  // empty
-    }
   }
 }
 
@@ -857,6 +793,30 @@ void FuseConn::WriteReply(uint64_t unique, FuseReply reply) {
 // parked_waiters increment before its last re-check, so either the waiter
 // sees the state or RingWakeWaiters sees the waiter.
 
+namespace {
+
+// The sweeping claim every resolver other than the completer takes (the
+// reaper, Interrupt, InterruptPid, the deadline sweeper): Pending ->
+// Sweeping within the generation of `ctrl`, the Pending word the caller
+// loaded. `resolve` then reads the slot's stable fields and returns the
+// state to publish: kSlotPending hands the slot back, any other state is
+// terminal and wakes the waiter, so it is published seq_cst. Returns the
+// published state, or nullopt when a racing owner won the CAS.
+template <typename Resolve>
+std::optional<uint64_t> ResolvePendingSlot(RingSlot& slot, uint64_t ctrl, Resolve resolve) {
+  const uint64_t gen = SlotGen(ctrl);
+  if (!slot.ctrl.compare_exchange_strong(ctrl, SlotCtrl(gen, kSlotSweeping),
+                                         std::memory_order_acq_rel)) {
+    return std::nullopt;
+  }
+  const uint64_t state = resolve(slot);
+  slot.ctrl.store(SlotCtrl(gen, state), state == kSlotPending ? std::memory_order_release
+                                                              : std::memory_order_seq_cst);
+  return state;
+}
+
+}  // namespace
+
 void FuseConn::RingWakeWaiters(RingState& ring) {
   if (ring.parked_waiters.load(std::memory_order_seq_cst) == 0) {
     return;  // common case: the waiter is spin-polling its slot, no syscall
@@ -917,7 +877,7 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
     bool was_empty = ring.sq.SizeApprox() == 0;
     // Count the entry before publishing it, so a reaper's decrement can
     // never run ahead of this increment and wrap queued_depth().
-    queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
+    queued_total_.fetch_add(1);
     if (ring.sq.TryPush(std::move(request))) {
       ch.enqueued.fetch_add(1, std::memory_order_relaxed);
       uint64_t depth_now = ring.sq.SizeApprox();
@@ -936,11 +896,11 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       if (faults_ != nullptr) {
         if (auto hit = faults_->Check(kFaultRingDoorbellLost)) {
           clock_->Advance(hit.latency_ns);
-          lost = true;  // the workers' bounded parks self-heal
+          lost = true;  // the pool workers' bounded parks self-heal
         }
       }
       if (!lost) {
-        NotifyWork();
+        NotifyWorkObserver();
       }
       return true;
     }
@@ -972,19 +932,20 @@ bool FuseConn::RingClaimSqe(RingState& ring, const FuseRequest& req) {
     if (state != kSlotPending) {
       return false;  // waiter already resolved: drop the stale entry
     }
-    uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-    if (!slot.ctrl.compare_exchange_weak(ctrl, sweeping, std::memory_order_acq_rel)) {
-      continue;
+    bool ours = false;
+    auto resolved = ResolvePendingSlot(slot, ctrl, [&](RingSlot& s) {
+      ours = s.unique == req.unique;
+      if (ours) {
+        // The server has now seen the request: an interrupt from here on
+        // must send the kInterrupt notification instead of silently
+        // dropping.
+        s.claimed.store(true, std::memory_order_relaxed);
+      }
+      return kSlotPending;
+    });
+    if (resolved.has_value()) {
+      return ours;
     }
-    // Exclusive: fields are stable for this generation.
-    bool ours = slot.unique == req.unique;
-    if (ours) {
-      // The server has now seen the request: an interrupt from here on must
-      // send the kInterrupt notification instead of silently dropping.
-      slot.claimed.store(true, std::memory_order_relaxed);
-    }
-    slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
-    return ours;
   }
 }
 
@@ -1244,7 +1205,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   if (reply.spliced) {
     // Consume the lane bytes this reply occupied since WriteReply; the page
     // identity arrived with the reply itself.
-    ch.lane_out[reply.lane_idx % kLanePoolSize]->DrainBytes(reply.payload_bytes());
+    ch.lanes.Release(LaneLedger::kOut, reply.lane_idx, reply.payload_bytes());
   }
   RecordOutcome(op, span,
                 reply.error != 0 ? obs::Outcome::kError : obs::Outcome::kOk,
@@ -1284,21 +1245,14 @@ void FuseConn::Abort() {
     ring.sq_cv.notify_all();
     // Waiters that died mid-transit leave payload parked on the lanes; a
     // dead connection must not strand that capacity.
-    for (size_t i = 0; i < kLanePoolSize; ++i) {
-      ch->lane_in[i]->Clear();
-      ch->lane_out[i]->Clear();
-    }
+    ch->lanes.Clear();
   }
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(idle_mu_);
-  }
-  work_cv_.notify_all();
   // Admission-gated callers must not stay parked on a dead connection.
   {
     std::lock_guard<analysis::CheckedMutex> lock(admission_mu_);
   }
   admission_cv_.notify_all();
-  // A shared pool serving this mount needs a wake too: its workers must
+  // The pool serving this mount needs a wake too: its workers must
   // notice the abort and let the health controller quarantine the mount.
   NotifyWorkObserver();
   // The sweeper has nothing left to expire; let it drain out.
@@ -1351,15 +1305,12 @@ void FuseConn::SweeperLoop() {
           if (SlotState(ctrl) != kSlotPending) {
             continue;
           }
-          uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-          if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping,
-                                                 std::memory_order_acq_rel)) {
-            continue;  // racing claim; revisit next tick
-          }
-          bool expire = slot.deadline_ns != 0 && now_real - slot.enqueued_real >= grace;
-          slot.ctrl.store(SlotCtrl(SlotGen(ctrl), expire ? kSlotTimedOut : kSlotPending),
-                          std::memory_order_release);
-          if (expire) {
+          // A racing claim is revisited next tick.
+          auto resolved = ResolvePendingSlot(slot, ctrl, [&](RingSlot& s) {
+            return s.deadline_ns != 0 && now_real - s.enqueued_real >= grace ? kSlotTimedOut
+                                                                             : kSlotPending;
+          });
+          if (resolved == kSlotTimedOut) {
             timeouts_->Add();
             expired_any = true;
           }
@@ -1399,7 +1350,9 @@ bool FuseConn::Interrupt(uint64_t unique) {
   size_t ch_idx = unique & (kMaxChannels - 1);
   RingState& ring = ch.ring();
   RingSlot& slot = ring.slots[SlotOfUnique(unique) % ring.depth];
-  for (;;) {
+  bool claimed = false;
+  std::optional<uint64_t> resolved;
+  while (!resolved.has_value()) {
     uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
     uint64_t state = SlotState(ctrl);
     if (state == kSlotInit || state == kSlotSweeping || state == kSlotCompleting) {
@@ -1409,27 +1362,27 @@ bool FuseConn::Interrupt(uint64_t unique) {
     if (state != kSlotPending) {
       return false;  // already resolved (or never existed): nothing to do
     }
-    uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-    if (!slot.ctrl.compare_exchange_weak(ctrl, sweeping, std::memory_order_acq_rel)) {
-      continue;
-    }
-    if (slot.unique != unique) {
-      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
-      return false;
-    }
-    bool claimed = slot.claimed.load(std::memory_order_relaxed);
-    slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotInterrupted), std::memory_order_seq_cst);
-    interrupts_->Add();
-    RingWakeWaiters(ring);
-    if (claimed) {
-      // The server already reaped it: send the INTERRUPT notification so it
-      // can observe the cancellation (its eventual reply is dropped as
-      // late). An unclaimed SQE is instead dropped at reap time, before the
-      // server ever sees it.
-      EnqueueInterruptNotify(ch, ch_idx, unique);
-    }
-    return true;
+    resolved = ResolvePendingSlot(slot, ctrl, [&](RingSlot& s) {
+      if (s.unique != unique) {
+        return kSlotPending;
+      }
+      claimed = s.claimed.load(std::memory_order_relaxed);
+      return kSlotInterrupted;
+    });
   }
+  if (*resolved == kSlotPending) {
+    return false;  // the slot was recycled by another request
+  }
+  interrupts_->Add();
+  RingWakeWaiters(ring);
+  if (claimed) {
+    // The server already reaped it: send the INTERRUPT notification so it
+    // can observe the cancellation (its eventual reply is dropped as late).
+    // An unclaimed SQE is instead dropped at reap time, before the server
+    // ever sees it.
+    EnqueueInterruptNotify(ch, ch_idx, unique);
+  }
+  return true;
 }
 
 uint32_t FuseConn::InterruptPid(kernel::Pid pid) {
@@ -1445,17 +1398,20 @@ uint32_t FuseConn::InterruptPid(kernel::Pid pid) {
       if (SlotState(ctrl) != kSlotPending) {
         continue;
       }
-      uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-      if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping, std::memory_order_acq_rel)) {
-        continue;  // racing claim; that owner resolves it
-      }
-      if (slot.pid != pid) {
-        slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
+      uint64_t unique = 0;
+      bool claimed = false;
+      // A racing claim's owner resolves the slot itself.
+      auto resolved = ResolvePendingSlot(slot, ctrl, [&](RingSlot& s) {
+        if (s.pid != pid) {
+          return kSlotPending;
+        }
+        unique = s.unique;
+        claimed = s.claimed.load(std::memory_order_relaxed);
+        return kSlotInterrupted;
+      });
+      if (resolved != kSlotInterrupted) {
         continue;
       }
-      uint64_t unique = slot.unique;
-      bool claimed = slot.claimed.load(std::memory_order_relaxed);
-      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotInterrupted), std::memory_order_seq_cst);
       interrupts_->Add();
       RingWakeWaiters(ring);
       if (claimed) {
@@ -1480,9 +1436,9 @@ void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t u
   // like every SQE (see RingPushSqe).
   ring.submitting.fetch_add(1, std::memory_order_seq_cst);
   if (!aborted()) {
-    queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
+    queued_total_.fetch_add(1);
     if (ring.sq.TryPush(std::move(notify))) {
-      NotifyWork();
+      NotifyWorkObserver();
     } else {
       queued_total_.fetch_sub(1);
     }
@@ -1494,10 +1450,7 @@ size_t FuseConn::lane_bytes_in_flight() const {
   size_t total = 0;
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   for (const auto& ch : owned_channels_) {
-    for (size_t i = 0; i < kLanePoolSize; ++i) {
-      total += ch->lane_in[i]->Available();
-      total += ch->lane_out[i]->Available();
-    }
+    total += ch->lanes.held();
   }
   return total;
 }

@@ -67,7 +67,6 @@
 #include "src/fuse/fuse_proto.h"
 #include "src/fuse/fuse_ring.h"
 #include "src/kernel/file.h"
-#include "src/kernel/pipe.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/sim_clock.h"
@@ -86,41 +85,51 @@ inline constexpr size_t kDefaultLanePages = 32;
 
 // Lanes per channel and direction — the libfuse pipe-pool analogue: the
 // real server keeps a pipe pair per worker thread, so spliced payloads of
-// concurrent requests never contend on one ring. Matches the default
-// worker count; a payload only falls back to the copy path when every lane
-// of its direction is occupied.
+// concurrent requests never contend on one pipe. Matches the default
+// worker count; a payload only falls back to the copy path when no lane
+// of its direction has room for it.
 inline constexpr size_t kLanePoolSize = 8;
 
+// The byte ledger of one channel's zero-copy data lanes. Each lane stands
+// for one pipe of the pool: spliced WRITE payloads claim a kIn lane
+// (kernel -> server), spliced READ / READDIRPLUS payloads a kOut lane
+// (server -> kernel). A payload holds its lane's bytes from gating until the
+// receiving side consumes the message — which lane it took travels with it
+// (`lane_idx`) — while page identity travels with the typed request/reply
+// (the analogue of /dev/fuse consuming header + spliced payload in one
+// read), so the ledger counts bytes only. Every lane of the channel has the
+// same capacity.
+class LaneLedger {
+ public:
+  enum Dir : size_t { kIn = 0, kOut = 1 };
+
+  // Claims `bytes` on the first lane of `dir`, in index order, with room
+  // for all of them; nullopt when no lane has (the copy-path fallback).
+  std::optional<uint32_t> Claim(Dir dir, uint64_t bytes);
+  // Gives `bytes` back to lane `idx` of `dir`, clamping at zero: an abort's
+  // Clear may already have zeroed the lane.
+  void Release(Dir dir, uint32_t idx, uint64_t bytes);
+  // fcntl(F_SETPIPE_SZ) on every lane: rounds up to a power of two of at
+  // least one page; EINVAL for 0, EPERM above kernel::kPipeMaxCapacity,
+  // EBUSY when a lane holds more than the new size. Returns the capacity.
+  StatusOr<size_t> Resize(size_t bytes);
+  // Drops every claim (connection teardown).
+  void Clear();
+  size_t capacity() const;
+  // Bytes held across every lane of both directions.
+  uint64_t held() const;
+
+ private:
+  mutable analysis::CheckedMutex mu_{"fuse.conn.lanes"};
+  size_t capacity_ = kDefaultLanePages * kernel::kPageSize;
+  std::array<std::array<uint64_t, kLanePoolSize>, 2> held_{};
+};
+
 // One cloned /dev/fuse queue: a submission ring with its completion slots,
-// plus the channel's occupancy, routing and batch counters. Padded so
-// neighbouring channels do not false-share.
-//
-// Each channel also owns a pool of pipe pairs — its zero-copy data lanes
-// (kLanePoolSize per direction, the libfuse pipe-pool analogue). Spliced
-// WRITE payloads ride a `lane_in` ring (kernel -> server) and spliced READ
-// / READDIRPLUS payloads ride a `lane_out` ring (server -> kernel): page
-// references transit the ring, occupying lane capacity from submission
-// until the receiving side consumes the message — which lane a message
-// took travels with it (`lane_idx`) — while page identity travels with the
-// typed request/reply (the analogue of /dev/fuse consuming header +
-// spliced payload in one read). A payload that fits no lane falls back to
-// the copy path whole.
+// its splice lanes, plus the channel's occupancy, routing and batch
+// counters. Padded so neighbouring channels do not false-share.
 struct alignas(64) FuseChannel {
-  FuseChannel(size_t ring_depth, RingProfile profile) {
-    for (size_t i = 0; i < kLanePoolSize; ++i) {
-      lane_in[i] = std::make_shared<kernel::PipeBuffer>(
-          /*hub=*/nullptr, kDefaultLanePages * kernel::kPageSize);
-      lane_out[i] = std::make_shared<kernel::PipeBuffer>(
-          /*hub=*/nullptr, kDefaultLanePages * kernel::kPageSize);
-      // The connection's two sides hold the lanes for the channel's
-      // lifetime.
-      for (auto* lane : {lane_in[i].get(), lane_out[i].get()}) {
-        lane->AddReader();
-        lane->AddWriter();
-      }
-    }
-    InstallRing(ring_depth, profile);
-  }
+  FuseChannel(size_t ring_depth, RingProfile profile) { InstallRing(ring_depth, profile); }
 
   // The live ring; never null.
   RingState& ring() const { return *live_ring.load(std::memory_order_acquire); }
@@ -144,16 +153,15 @@ struct alignas(64) FuseChannel {
   // Copy-path fallbacks since the lanes last grew (autosizing pressure).
   std::atomic<uint32_t> fallback_pressure{0};
 
-  // Zero-copy data lanes (see above) and the per-channel splice opt-out: a
-  // channel with splice disabled strips splice_ok / flattens payloads, so
-  // one misbehaving client process can be pinned to the copy path without
-  // renegotiating the whole connection.
-  std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize> lane_in;
-  std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize> lane_out;
+  // Zero-copy data lanes (see LaneLedger) and the per-channel splice
+  // opt-out: a channel with splice disabled strips splice_ok / flattens
+  // payloads, so one misbehaving client process can be pinned to the copy
+  // path without renegotiating the whole connection.
+  LaneLedger lanes;
   std::atomic<bool> splice_enabled{true};
 
-  // Batch-efficiency counters (FuseConn::RingChannelStats), kept here so a
-  // ring replacement does not reset them.
+  // Batch-efficiency counters, kept here so a ring replacement does not
+  // reset them (FuseConn::Stats rolls them up).
   std::atomic<uint64_t> doorbells{0};
   std::atomic<uint64_t> reaps{0};
   std::atomic<uint64_t> reaped_requests{0};
@@ -183,18 +191,16 @@ class FuseConn {
            obs::MetricsRegistry* metrics = nullptr);
   ~FuseConn();
 
-  // Reshapes the channel set (FUSE_DEV_IOC_CLONE analogue). Only honoured
-  // before traffic: nothing queued or in flight, not aborted.
-  // Returns the resulting channel count.
+  // Reshapes the channel set (FUSE_DEV_IOC_CLONE analogue): attach and
+  // reconnect size a fresh connection with it, and the pool's autoscaler
+  // reshapes a live one. Only fires on a *quiet* instant: nothing queued,
+  // nothing in flight, not aborted, and no submitter inside its routing
+  // window (the submit paths hold reshape_mu_ shared across route+wait, so
+  // a successful exclusive try-lock here proves no sender holds a channel
+  // index about to go stale). New channels inherit the widest lane
+  // capacity above the default. Non-blocking: returns the resulting channel
+  // count, unchanged when the connection is busy.
   size_t ConfigureChannels(size_t requested);
-  // Live reshape for pool-served connections (channel-count autoscaling).
-  // Unlike ConfigureChannels it tolerates past traffic, but only fires on a
-  // *quiet* instant: nothing queued, nothing in flight, no submitter inside
-  // its routing window (the submit paths hold reshape_mu_ shared across
-  // route+enqueue, so a successful exclusive acquisition here proves no
-  // sender can be holding a stale channel pointer). Non-blocking: returns
-  // the current count unchanged when the connection is busy.
-  size_t TryReshapeChannels(size_t requested);
   size_t num_channels() const { return num_channels_.load(std::memory_order_acquire); }
 
   // Settles the rings once INIT has: gives every channel a fresh ring of
@@ -230,30 +236,17 @@ class FuseConn {
   void SendNoReply(FuseRequest request);
 
   // --- server side ---
-  // Blocks for the next request, preferring the worker's home channel and
-  // stealing from non-empty siblings when it is dry; returns nullopt when
-  // the connection aborts and all queues are drained (server threads exit).
-  std::optional<FuseRequest> ReadRequest(size_t home_channel = 0);
-  // Blocks like ReadRequest but drains a whole burst (up to `max_batch`
-  // requests, capped by the ring profile's reap batch) from one channel in
-  // a single pass, so one wakeup amortizes over every SQ entry that
-  // accumulated while the worker was busy. Returns an empty batch when the
-  // connection aborts and the rings are drained. ReadRequest and this call
-  // drive a server by hand (tests); FuseServerPool uses the non-blocking
-  // variant below.
-  std::vector<FuseRequest> ReadRequestBatch(size_t home_channel = 0,
-                                            size_t max_batch = kRingReapBatch);
-  // Non-blocking variant for pool workers: drains up to `max_batch`
-  // requests scanning every channel once (start-channel first, then ring
-  // order), each channel's reap capped by its ring profile, and never
-  // parks. An empty batch means "nothing queued right now" — the pool's own
-  // scheduler decides whether to revisit or move on, so the per-connection
-  // idle handshake (idle_workers_/work_cv_) is not touched.
+  // The only reap entry: drains up to `max_batch` requests scanning every
+  // channel once (start-channel first, then ring order), each channel's
+  // reap capped by its ring profile, and never parks. An empty batch means
+  // "nothing queued right now"; a server thread parks in FuseServerPool's
+  // eventcount, which the work observer (SetWorkObserver) rings.
   std::vector<FuseRequest> TryReadRequestBatch(size_t start_channel = 0,
                                                size_t max_batch = kRingReapBatch);
   void WriteReply(uint64_t unique, FuseReply reply);
 
-  // Tear down: wakes waiters with ENOTCONN and unblocks server readers.
+  // Tear down: wakes waiters with ENOTCONN, drains the rings and rings the
+  // work observer, so the serving pool notices the abort.
   void Abort();
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
@@ -383,8 +376,8 @@ class FuseConn {
   }
   bool lane_autosize() const { return lane_autosize_.load(std::memory_order_acquire); }
   // Current capacity of channel `i`'s lanes in bytes (every lane of the
-  // pool, both directions, is kept at the same size).
-  size_t lane_capacity(size_t i) const { return Channel(i).lane_out[0]->capacity(); }
+  // pool, both directions, has the same size).
+  size_t lane_capacity(size_t i) const { return Channel(i).lanes.capacity(); }
   // Per-channel splice opt-out: a disabled channel carries every payload on
   // the copy path (splice_ok stripped, spliced writes flattened).
   void SetChannelSplice(size_t i, bool enabled) {
@@ -400,28 +393,6 @@ class FuseConn {
   // Deepest channel `i`'s queue has ever been.
   uint64_t channel_max_queue_depth(size_t i) const {
     return Channel(i).max_depth.load(std::memory_order_relaxed);
-  }
-
-  // Per-channel batch-efficiency counters of the ring transport.
-  struct RingChannelStats {
-    uint64_t doorbells = 0;     // submission doorbells rung (burst heads:
-                                // SQEs that found the ring empty)
-    uint64_t reaps = 0;             // reap passes that returned work
-    uint64_t reaped_requests = 0;   // requests delivered across those passes
-    uint64_t max_reqs_per_reap = 0; // largest single burst
-    uint64_t sq_overflows = 0;      // submissions that hit a full ring
-    uint64_t spin_parks = 0;        // spin budgets exhausted into a park
-  };
-  RingChannelStats channel_ring_stats(size_t i) const {
-    const FuseChannel& ch = Channel(i);
-    RingChannelStats s;
-    s.doorbells = ch.doorbells.load(std::memory_order_relaxed);
-    s.reaps = ch.reaps.load(std::memory_order_relaxed);
-    s.reaped_requests = ch.reaped_requests.load(std::memory_order_relaxed);
-    s.max_reqs_per_reap = ch.max_reqs_per_reap.load(std::memory_order_relaxed);
-    s.sq_overflows = ch.sq_overflows.load(std::memory_order_relaxed);
-    s.spin_parks = ch.spin_parks.load(std::memory_order_relaxed);
-    return s;
   }
 
   // The legacy stats surface, kept as a thin view over the registry-backed
@@ -450,13 +421,14 @@ class FuseConn {
     uint64_t admission_waits = 0;  // SendAndWait calls gated on max_background
     uint64_t shed_rejects = 0;     // new requests bounced while shedding
     // Ring-transport batch efficiency, rolled up across every channel of
-    // the mount (see RingChannelStats for the per-counter meaning).
-    uint64_t doorbells = 0;
-    uint64_t reaps = 0;
-    uint64_t reaped_requests = 0;
-    uint64_t max_reqs_per_reap = 0;
-    uint64_t sq_overflows = 0;
-    uint64_t spin_parks = 0;
+    // the mount.
+    uint64_t doorbells = 0;          // submission doorbells rung (burst heads:
+                                     // SQEs that found the ring empty)
+    uint64_t reaps = 0;              // reap passes that returned work
+    uint64_t reaped_requests = 0;    // requests delivered across those passes
+    uint64_t max_reqs_per_reap = 0;  // largest single burst
+    uint64_t sq_overflows = 0;       // submissions that hit a full ring
+    uint64_t spin_parks = 0;         // spin budgets exhausted into a park
   };
   // Safe to call while workers run: every source is an explicit atomic
   // load taken exactly once into the snapshot (no plain reads of fields a
@@ -481,14 +453,16 @@ class FuseConn {
     s.shed_rejects = sheds_->Value();
     const size_t n = num_channels();
     for (size_t i = 0; i < n; ++i) {
-      s.max_queue_depth = std::max(s.max_queue_depth, channel_max_queue_depth(i));
-      RingChannelStats r = channel_ring_stats(i);
-      s.doorbells += r.doorbells;
-      s.reaps += r.reaps;
-      s.reaped_requests += r.reaped_requests;
-      s.max_reqs_per_reap = std::max(s.max_reqs_per_reap, r.max_reqs_per_reap);
-      s.sq_overflows += r.sq_overflows;
-      s.spin_parks += r.spin_parks;
+      const FuseChannel& ch = Channel(i);
+      s.max_queue_depth =
+          std::max(s.max_queue_depth, ch.max_depth.load(std::memory_order_relaxed));
+      s.doorbells += ch.doorbells.load(std::memory_order_relaxed);
+      s.reaps += ch.reaps.load(std::memory_order_relaxed);
+      s.reaped_requests += ch.reaped_requests.load(std::memory_order_relaxed);
+      s.max_reqs_per_reap =
+          std::max(s.max_reqs_per_reap, ch.max_reqs_per_reap.load(std::memory_order_relaxed));
+      s.sq_overflows += ch.sq_overflows.load(std::memory_order_relaxed);
+      s.spin_parks += ch.spin_parks.load(std::memory_order_relaxed);
     }
     return s;
   }
@@ -528,10 +502,8 @@ class FuseConn {
   void GateReplyPayload(FuseChannel& ch, FuseReply& reply);
   // Autosizing on fallback pressure: grows `ch`'s lanes (a payload of
   // `wanted_bytes` just bounced to the copy path). Returns true if the
-  // lanes grew, meaning a retry of the push may now succeed.
+  // lanes grew, meaning a retry of the claim may now succeed.
   bool MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes);
-  // Post-enqueue wakeup handshake with idle workers.
-  void NotifyWork();
   // Appends `n` fresh channels (rings of `depth` entries running `profile`)
   // to owned_channels_ and publishes them through the table (config_mu_
   // held).
@@ -551,7 +523,7 @@ class FuseConn {
   // declared server parallelism, and the live channel count.
   void RecomputeSpinBudget();
   // Fires the registered pool work observer, if armed (one relaxed load
-  // when not).
+  // when not): the doorbell of every enqueue and of Abort.
   void NotifyWorkObserver();
   // Enqueues the kInterrupt notification for an in-flight `unique`.
   void EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t unique);
@@ -597,28 +569,20 @@ class FuseConn {
   // the fixed-size atomic pointer table lock-free; ConfigureChannels
   // installs new pointers and only then publishes the count. Every channel
   // ever created stays in owned_channels_ until the connection dies (and
-  // every ring in its channel), so a sender racing a (guarded,
-  // protocol-violating) reshape reads a stale but valid channel — never
-  // freed memory; at worst its request sits unserved until Abort sweeps
-  // every owned channel.
+  // every ring in its channel), so a reaper or replier still scanning a
+  // retired channel reads valid memory, and Abort sweeps every one of them.
   std::array<std::atomic<FuseChannel*>, kMaxChannels> channel_table_{};
   std::atomic<size_t> num_channels_{1};
   mutable analysis::CheckedMutex config_mu_{"fuse.conn.config"};  // serializes reshape and Abort's owned sweep
   std::vector<std::unique_ptr<FuseChannel>> owned_channels_;
   // Submitters hold this shared across their whole route+enqueue+wait
-  // window; TryReshapeChannels try-locks it exclusive and ConfigureRing
-  // takes it exclusive, so the channel set and the rings only change when
-  // no sender holds a channel index or a ring derived from the old ones.
-  // Abort never touches it (parked submitters still holding shared must
-  // stay wakeable).
+  // window; ConfigureChannels and ConfigureRing try-lock it exclusive, so
+  // the channel set and the rings only change when no sender holds a
+  // channel index or a ring derived from the old ones. Abort never touches
+  // it (parked submitters still holding shared must stay wakeable).
   mutable analysis::CheckedSharedMutex reshape_mu_{"fuse.conn.reshape"};
 
-  // Idle workers park here; any enqueue (to any channel) wakes one. The
-  // per-channel locks stay out of this handshake so enqueue/dequeue on
-  // different channels never touch the same contended line for long.
-  analysis::CheckedMutex idle_mu_{"fuse.conn.idle"};
-  analysis::CheckedCondVar work_cv_{"fuse.conn.idle.work_cv"};
-  std::atomic<int> idle_workers_{0};
+  // SQ entries across every channel (queued_depth()).
   std::atomic<uint64_t> queued_total_{0};
 
   // --- ring waits ---

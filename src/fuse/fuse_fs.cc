@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/fault/fault.h"
+#include "src/kernel/pipe.h"
 #include "src/util/logging.h"
 #include "src/analysis/lockdep.h"
 

@@ -48,7 +48,7 @@ inline constexpr size_t kMinRingDepth = 8;
 inline constexpr size_t kMaxRingDepth = size_t{1} << kRingSlotBits;  // 1024
 // Depth of a fresh connection's rings, before INIT settles the mount's own.
 inline constexpr size_t kDefaultRingDepth = 64;
-// Iterations a waiter (or an idle worker) spin-polls before parking.
+// Iterations a kRing waiter spin-polls before parking.
 inline constexpr uint32_t kDefaultRingSpinBudget = 2000;
 // Most SQ entries a single reap pass hands to one worker.
 inline constexpr size_t kRingReapBatch = 32;
@@ -62,7 +62,7 @@ inline constexpr size_t kRingReapBatch = 32;
 //   doorbell (reply SQE)   0                           fuse_ring_doorbell_ns
 //   CQE publish            0                           fuse_ring_cqe_ns
 //   fire-and-forget fill   round trip / 2              fuse_ring_sqe_ns
-//   blocking reap batch    1                           kRingReapBatch
+//   reap batch             1                           kRingReapBatch
 //   waiter spin            none: parks at once         ring_spin_budget
 //
 // kPaper is the paper's wakeup handshake (§3.3, Figure 4): a fresh

@@ -23,7 +23,7 @@ CNTR_FAULT_POINT(kFaultPoolQuarantine, "fuse.pool.quarantine");
 // Channel autoscaling thresholds: grow when the deepest channel's
 // max-queue-depth high-water reaches kGrowDepthPerChannel x channels,
 // shrink (halve) after kShrinkIdleScans controller passes with no new
-// requests. Both paths go through TryReshapeChannels, which only fires on
+// requests. Both paths go through ConfigureChannels, which only fires on
 // a quiet connection.
 constexpr uint64_t kGrowDepthPerChannel = 4;
 constexpr uint32_t kShrinkIdleScans = 8;
@@ -767,7 +767,7 @@ void FuseServerPool::AutoscaleChannels(Mount& m, FuseConn& conn) {
   }
   // Non-blocking: only fires on a provably quiet connection; a busy one
   // just stays at its current count until a later pass.
-  if (conn.TryReshapeChannels(desired) != n) {
+  if (conn.ConfigureChannels(desired) != n) {
     reshapes_->Add();
   }
 }

@@ -38,7 +38,7 @@
 //   * Dynamic channel scaling: the controller grows a mount's channel
 //     count when its per-channel max-queue-depth stats show sustained
 //     depth, and shrinks it after idle scans — both through
-//     FuseConn::TryReshapeChannels, which only fires on a quiet instant.
+//     FuseConn::ConfigureChannels, which only fires on a quiet instant.
 //
 // Threads are elastic upward: the pool starts at min_threads and grows
 // toward max_threads when queued depth outruns the serving rate. The
@@ -112,7 +112,7 @@ struct FuseServerPoolOptions {
   // Health/watermark/scaling scan cadence; 0 = no background controller
   // (tests drive RunControllerPass() explicitly).
   uint64_t controller_interval_ms = 1;
-  // Channel-count autoscaling via FuseConn::TryReshapeChannels.
+  // Channel-count autoscaling via FuseConn::ConfigureChannels.
   bool autoscale_channels = false;
   // Instrument registry; null = MetricsRegistry::Global().
   obs::MetricsRegistry* metrics = nullptr;
@@ -187,7 +187,7 @@ class FuseServerPool {
     uint64_t terminal = 0;            // mounts that exhausted retries
     uint64_t soft_sheds = 0;          // deprioritizations applied
     uint64_t hard_sheds = 0;          // ETIMEDOUT shed gates armed
-    uint64_t channel_reshapes = 0;    // successful TryReshapeChannels calls
+    uint64_t channel_reshapes = 0;    // autoscaler reshapes that fired
     uint64_t thread_growths = 0;      // elastic worker spawns past min
   };
   PoolStats stats() const;

@@ -98,40 +98,8 @@ StatusOr<size_t> PipeBuffer::Write(const char* buf, size_t count, bool nonblock)
   return written;
 }
 
-StatusOr<size_t> PipeBuffer::PushSegments(std::vector<PipeSegment> segs, bool nonblock,
-                                          bool require_all) {
-  size_t total = 0;
-  for (const PipeSegment& seg : segs) {
-    total += seg.size();
-  }
+StatusOr<size_t> PipeBuffer::PushSegments(std::vector<PipeSegment> segs, bool nonblock) {
   std::unique_lock<analysis::CheckedMutex> lock(mu_);
-  if (require_all) {
-    if (readers_ == 0) {
-      return Status::Error(EPIPE);
-    }
-    if (total > capacity_) {
-      // Can never fit, drained or not: fail fast instead of blocking on a
-      // condition that cannot come true.
-      return Status::Error(nonblock ? EAGAIN : EINVAL);
-    }
-    if (total > capacity_ - bytes_) {
-      if (nonblock) {
-        return Status::Error(EAGAIN);
-      }
-      cv_.wait(lock, [&] { return total <= capacity_ - bytes_ || readers_ == 0; });
-      if (readers_ == 0) {
-        return Status::Error(EPIPE);
-      }
-    }
-    for (PipeSegment& seg : segs) {
-      bytes_ += seg.size();
-      segs_.push_back(std::move(seg));
-    }
-    lock.unlock();
-    NotifyUnlocked();
-    return total;
-  }
-
   size_t pushed = 0;
   for (size_t i = 0; i < segs.size();) {
     if (readers_ == 0) {
@@ -213,27 +181,6 @@ void PipeBuffer::RequeueFront(std::vector<PipeSegment> segs) {
     }
   }
   NotifyUnlocked();
-}
-
-size_t PipeBuffer::DrainBytes(size_t n) {
-  size_t dropped = 0;
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    while (!segs_.empty() && dropped < n) {
-      PipeSegment& front = segs_.front();
-      uint32_t take = static_cast<uint32_t>(std::min<size_t>(front.size(), n - dropped));
-      front.begin += take;
-      dropped += take;
-      if (front.begin == front.end) {
-        segs_.pop_front();
-      }
-    }
-    bytes_ -= dropped;
-  }
-  if (dropped > 0) {
-    NotifyUnlocked();
-  }
-  return dropped;
 }
 
 StatusOr<size_t> PipeBuffer::TeeTo(PipeBuffer& dst, size_t max_bytes, bool nonblock) {

@@ -57,8 +57,7 @@ inline constexpr size_t kPipeMaxCapacity = 1 << 20;
 // count, never EAGAIN/EPIPE.
 class PipeBuffer {
  public:
-  // `hub` may be null for anonymous rings (FUSE channel lanes) that no
-  // epoll instance ever watches.
+  // `hub` may be null for rings no epoll instance ever watches.
   explicit PipeBuffer(PollHub* hub, size_t capacity = 65536) : hub_(hub), capacity_(capacity) {}
 
   StatusOr<size_t> Read(char* buf, size_t count, bool nonblock);
@@ -69,21 +68,13 @@ class PipeBuffer {
   // Appends whole segments while capacity allows; returns bytes pushed.
   // Blocking behaviour mirrors Write: EPIPE with no readers and nothing
   // pushed, EAGAIN when nonblocking and nothing fits, short count once >0
-  // bytes are queued. `require_all` refuses a partial push (nothing is
-  // queued unless every segment fits) — the all-or-nothing mode the FUSE
-  // transit gate uses, so a payload either rides the lane whole or falls
-  // back to the copy path whole.
-  StatusOr<size_t> PushSegments(std::vector<PipeSegment> segs, bool nonblock,
-                                bool require_all = false);
+  // bytes are queued.
+  StatusOr<size_t> PushSegments(std::vector<PipeSegment> segs, bool nonblock);
 
   // Pops whole segments up to `max_bytes` (the front segment is split if it
   // straddles the budget). Returns an empty vector on writer-EOF, EAGAIN
   // when nonblocking and empty; blocks otherwise.
   StatusOr<std::vector<PipeSegment>> PopSegments(size_t max_bytes, bool nonblock);
-
-  // Drops up to `n` queued bytes (the consume half of a transit whose page
-  // identity travelled out of band). Never blocks; returns bytes dropped.
-  size_t DrainBytes(size_t n);
 
   // Puts segments back at the FRONT of the ring, first element first — the
   // undo of a PopSegments whose downstream push failed (splice(2) leaves

@@ -39,6 +39,7 @@
 #include "src/kernel/kernel.h"
 #include "src/obs/metrics.h"
 #include "src/util/sim_clock.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::analysis {
 namespace {
@@ -49,6 +50,7 @@ using fuse::FuseReply;
 using fuse::FuseRequest;
 using fuse::FuseServerPool;
 using fuse::FuseServerPoolOptions;
+using fuse::PollRequests;
 
 class LockdepRegressionTest : public ::testing::Test {
  protected:
@@ -117,7 +119,7 @@ TEST_F(LockdepRegressionTest, RingSqWakeupsHappenOutsideTheReshapeWindow) {
   std::thread server([&] {
     int served = 0;
     while (served < kClients) {
-      std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+      std::vector<FuseRequest> batch = PollRequests(conn);
       for (FuseRequest& req : batch) {
         conn.WriteReply(req.unique, FuseReply{});
         ++served;

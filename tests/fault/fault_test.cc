@@ -20,6 +20,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fault {
 namespace {
@@ -122,6 +123,7 @@ using fuse::FuseConn;
 using fuse::FuseOpcode;
 using fuse::FuseReply;
 using fuse::FuseRequest;
+using fuse::PollRequest;
 
 TEST(FaultTransportTest, EnqueueFaultFailsTheSendWithoutAServer) {
   SimClock clock;
@@ -157,7 +159,7 @@ TEST(FaultTransportTest, LateReplyIsDroppedAndWaiterTimesOut) {
   FuseConn conn(&clock, &costs);
   conn.SetRequestDeadline(100'000, /*real_grace_ms=*/0);  // virtual-only
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     if (!req.has_value()) {
       return;
     }
@@ -214,14 +216,14 @@ TEST(FaultTransportTest, InterruptInFlightNotifiesServerAndDropsLateReply) {
   FuseConn conn(&clock, &costs);
   std::atomic<uint64_t> unique{0};
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     if (!req.has_value()) {
       return;
     }
     unique.store(req->unique);
     // The interrupt arrives as a kInterrupt notification (unique 0)
     // naming the in-flight request.
-    auto notify = conn.ReadRequest();
+    auto notify = PollRequest(conn);
     if (!notify.has_value()) {
       return;
     }

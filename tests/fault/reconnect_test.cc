@@ -17,6 +17,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fault {
 namespace {
@@ -283,7 +284,7 @@ TEST(AdmissionGateTest, DisarmingTenantBudgetReleasesParkedWaiters) {
     std::this_thread::yield();
   }
   for (int i = 0; i < 2; ++i) {
-    auto req = conn.ReadRequest(0);
+    auto req = fuse::PollRequest(conn, 0);
     ASSERT_TRUE(req.has_value());
     conn.WriteReply(req->unique, fuse::FuseReply{});
   }

@@ -49,7 +49,7 @@ TEST(AbortRaceTest, AbortWakesEveryParkedWaiter) {
 }
 
 TEST(AbortRaceTest, AbortRacesChannelReshapeWithoutCorruption) {
-  // ConfigureChannels is only honoured before traffic, but a caller racing
+  // ConfigureChannels only fires on a quiet connection, but a caller racing
   // it against Abort must never corrupt the channel table or deadlock —
   // the config lock serializes reshape against Abort's owned-channel sweep.
   for (int round = 0; round < 32; ++round) {

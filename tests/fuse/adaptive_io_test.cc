@@ -20,6 +20,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fuse {
 namespace {
@@ -489,7 +490,7 @@ TEST_F(AdaptiveIoTest, OversizedPayloadGrowsLanesAndSplices) {
   size_t before = conn.lane_capacity(0);
 
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     ASSERT_TRUE(req.has_value());
     // The payload must have ridden the lane, not the copy path.
     EXPECT_TRUE(req->spliced);
@@ -522,7 +523,7 @@ TEST_F(AdaptiveIoTest, AutosizeOffKeepsLanesFixed) {
   size_t before = conn.lane_capacity(0);
 
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     ASSERT_TRUE(req.has_value());
     EXPECT_FALSE(req->spliced);  // flattened to the copy path
     conn.WriteReply(req->unique, FuseReply{});

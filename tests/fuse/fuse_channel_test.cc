@@ -14,6 +14,7 @@
 #include "src/fuse/fuse_conn.h"
 #include "src/fuse/fuse_mount.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fuse {
 namespace {
@@ -81,11 +82,11 @@ TEST(FuseChannelTest, ForgetStaysOrderedBehindLookupOnSameChannel) {
   conn.SendNoReply(ForgetFrom(pid));
   ASSERT_EQ(conn.channel_queue_depth(1), 2u);
 
-  auto first = conn.ReadRequest(1);
+  auto first = PollRequest(conn, 1);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->opcode, FuseOpcode::kLookup);
   EXPECT_EQ(first->channel, 1u);
-  auto second = conn.ReadRequest(1);
+  auto second = PollRequest(conn, 1);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->opcode, FuseOpcode::kForget);
   EXPECT_EQ(second->channel, 1u);
@@ -128,9 +129,9 @@ TEST(FuseChannelTest, AbortWakesPendingWaitersOnAllChannels) {
   // Post-abort: sends fail fast, readers drain what is queued then stop.
   EXPECT_EQ(conn.SendAndWait(FuseRequest{}).error(), ENOTCONN);
   for (int i = 0; i < 4; ++i) {
-    (void)conn.ReadRequest(0);  // the four aborted requests drain
+    (void)PollRequest(conn, 0);  // the four aborted requests drain
   }
-  EXPECT_FALSE(conn.ReadRequest(0).has_value());
+  EXPECT_FALSE(PollRequest(conn, 0).has_value());
 }
 
 TEST(FuseChannelTest, IdleWorkerStealsFromHotSiblingChannel) {
@@ -143,7 +144,7 @@ TEST(FuseChannelTest, IdleWorkerStealsFromHotSiblingChannel) {
   }
   // A worker homed on a different channel drains the hot one.
   for (int i = 0; i < 3; ++i) {
-    auto req = conn.ReadRequest(/*home_channel=*/2);
+    auto req = PollRequest(conn, /*start_channel=*/2);
     ASSERT_TRUE(req.has_value());
     EXPECT_EQ(req->channel, 0u);
   }
@@ -156,7 +157,7 @@ TEST(FuseChannelTest, RepliesCountOnlyWhenDelivered) {
   CostModel costs;
   FuseConn conn(&clock, &costs, 2);
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     conn.WriteReply(req->unique, FuseReply{});
   });
   ASSERT_TRUE(conn.SendAndWait(FuseRequest{}).ok());
@@ -181,7 +182,7 @@ TEST(FuseChannelTest, ChannelCountClampsAndFreezesUnderTraffic) {
   // a retired channel.
   conn.SendNoReply(ForgetFrom(1));
   EXPECT_EQ(conn.ConfigureChannels(8), 4u);
-  ASSERT_TRUE(conn.ReadRequest(conn.RouteChannel(1)).has_value());
+  ASSERT_TRUE(PollRequest(conn, conn.RouteChannel(1)).has_value());
   EXPECT_EQ(conn.ConfigureChannels(8), 8u);
   conn.Abort();
 }
@@ -197,7 +198,7 @@ TEST(FuseChannelTest, ContentionPremiumIsPerChannel) {
 
   auto measure = [&](kernel::Pid pid) {
     std::thread server([&] {
-      auto req = conn.ReadRequest(conn.RouteChannel(pid));
+      auto req = PollRequest(conn, conn.RouteChannel(pid));
       conn.WriteReply(req->unique, FuseReply{});
     });
     FuseRequest req;
@@ -222,7 +223,7 @@ TEST(FuseChannelTest, ChannelOccupancySerializesParallelLanes) {
   auto run = [&](size_t channels, kernel::Pid pid_a, kernel::Pid pid_b) {
     FuseConn conn(&clock, &costs, channels);
     std::thread server([&] {
-      while (auto req = conn.ReadRequest()) {
+      while (auto req = PollRequest(conn)) {
         conn.WriteReply(req->unique, FuseReply{});
       }
     });

@@ -10,6 +10,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fuse {
 namespace {
@@ -20,7 +21,7 @@ TEST(FuseConnTest, RoundTripThroughManualServer) {
   FuseConn conn(&clock, &costs);
 
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     ASSERT_TRUE(req.has_value());
     EXPECT_EQ(req->opcode, FuseOpcode::kGetattr);
     EXPECT_EQ(req->nodeid, 42u);
@@ -42,7 +43,7 @@ TEST(FuseConnTest, RoundTripThroughManualServer) {
 // server thread on the shared timeline.
 uint64_t MeasureRoundTrip(SimClock& clock, FuseConn& conn) {
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     conn.WriteReply(req->unique, FuseReply{});
   });
   uint64_t before = clock.NowNs();
@@ -84,7 +85,7 @@ TEST(FuseConnTest, ErrorRepliesBecomeStatus) {
   CostModel costs;
   FuseConn conn(&clock, &costs);
   std::thread server([&] {
-    auto req = conn.ReadRequest();
+    auto req = PollRequest(conn);
     conn.WriteReply(req->unique, FuseReply::Error(ENOENT));
   });
   auto reply = conn.SendAndWait(FuseRequest{});
@@ -97,7 +98,7 @@ TEST(FuseConnTest, AbortWakesWaitersWithEnotconn) {
   CostModel costs;
   FuseConn conn(&clock, &costs);
   std::thread aborter([&] {
-    (void)conn.ReadRequest();  // take the request, never answer
+    (void)PollRequest(conn);  // take the request, never answer
     conn.Abort();
   });
   auto reply = conn.SendAndWait(FuseRequest{});
@@ -106,7 +107,7 @@ TEST(FuseConnTest, AbortWakesWaitersWithEnotconn) {
   // Further sends fail immediately.
   EXPECT_EQ(conn.SendAndWait(FuseRequest{}).error(), ENOTCONN);
   // Server readers see end-of-stream.
-  EXPECT_FALSE(conn.ReadRequest().has_value());
+  EXPECT_FALSE(PollRequest(conn).has_value());
 }
 
 TEST(FuseConnTest, NoReplyRequestsDoNotBlock) {
@@ -116,7 +117,7 @@ TEST(FuseConnTest, NoReplyRequestsDoNotBlock) {
   FuseRequest forget;
   forget.opcode = FuseOpcode::kForget;
   conn.SendNoReply(std::move(forget));  // must not deadlock
-  auto req = conn.ReadRequest();
+  auto req = PollRequest(conn);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->opcode, FuseOpcode::kForget);
   EXPECT_EQ(req->unique, 0u);  // no reply slot

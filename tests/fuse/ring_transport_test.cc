@@ -1,5 +1,5 @@
 // Submission-ring transport tests: profile negotiation and fallback, ring
-// replacement under a parked reader, out-of-order completion to the right
+// replacement under a waiting reader, out-of-order completion to the right
 // waiters, SQ-full backpressure vs. the admission gate, FORGET ordering
 // across a reap boundary, interrupt and deadline expiry of ring-resident
 // requests, abort with entries in flight, multi-reap batch accounting, a
@@ -19,6 +19,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fuse {
 namespace {
@@ -101,11 +102,11 @@ TEST(RingTransportTest, ParkedReaderPicksUpReplacedRings) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 2);
-  // A reader parks on the fresh connection's rings; replacing them must not
+  // A reader waits on the fresh connection's rings; replacing them must not
   // free what it scans, and its next scan must find the new rings' traffic.
   std::atomic<bool> got{false};
   std::thread reader([&] {
-    std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+    std::vector<FuseRequest> batch = PollRequests(conn);
     got.store(!batch.empty() && batch.front().opcode == FuseOpcode::kForget);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -143,7 +144,7 @@ TEST(RingTransportTest, OutOfOrderCompletionReachesTheRightWaiters) {
   // still live.
   std::vector<FuseRequest> pending;
   while (pending.size() < kClients) {
-    std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+    std::vector<FuseRequest> batch = PollRequests(conn);
     ASSERT_FALSE(batch.empty());
     for (FuseRequest& req : batch) {
       pending.push_back(std::move(req));
@@ -189,7 +190,7 @@ TEST(RingTransportTest, SqFullBackpressureBlocksSubmittersUntilTheServerDrains) 
   std::thread server([&] {
     int served = 0;
     while (served < kClients) {
-      std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+      std::vector<FuseRequest> batch = PollRequests(conn);
       ASSERT_FALSE(batch.empty());
       for (FuseRequest& req : batch) {
         conn.WriteReply(req.unique, FuseReply{});
@@ -229,7 +230,7 @@ TEST(RingTransportTest, AdmissionGateFiresBeforeTheRingEverFills) {
   std::thread server([&] {
     int served = 0;
     while (served < kClients) {
-      std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+      std::vector<FuseRequest> batch = PollRequests(conn);
       ASSERT_FALSE(batch.empty());
       for (FuseRequest& req : batch) {
         conn.WriteReply(req.unique, FuseReply{});
@@ -271,7 +272,7 @@ TEST(RingTransportTest, ForgetStaysOrderedBehindLookupAcrossOneReap) {
   conn.SendNoReply(ForgetFrom(42));
   ASSERT_EQ(conn.channel_queue_depth(0), 2u);
 
-  std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+  std::vector<FuseRequest> batch = PollRequests(conn);
   ASSERT_EQ(batch.size(), 2u) << "one reap drains the whole burst";
   EXPECT_EQ(batch[0].opcode, FuseOpcode::kLookup);
   EXPECT_EQ(batch[1].opcode, FuseOpcode::kForget);
@@ -309,7 +310,7 @@ TEST(RingTransportTest, InterruptResolvesARingResidentRequest) {
   EXPECT_GE(conn.stats().interrupts, 1u);
   // The dead SQE is dropped at reap time, not delivered.
   conn.Abort();
-  EXPECT_TRUE(conn.ReadRequestBatch(0).empty());
+  EXPECT_TRUE(PollRequests(conn).empty());
 }
 
 TEST(RingTransportTest, DeadlineExpiresARingResidentRequest) {
@@ -356,7 +357,7 @@ TEST(RingTransportTest, AbortWakesRingWaitersOnAllChannels) {
   EXPECT_EQ(enotconn.load(), 4);
   // Post-abort: sends fail fast, the rings are drained, readers exit.
   EXPECT_EQ(conn.SendAndWait(GetattrFrom(1)).error(), ENOTCONN);
-  EXPECT_TRUE(conn.ReadRequestBatch(0).empty());
+  EXPECT_TRUE(PollRequests(conn).empty());
   EXPECT_EQ(conn.lane_bytes_in_flight(), 0u);
 }
 
@@ -370,7 +371,7 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   for (size_t i = 0; i < kBurst; ++i) {
     conn.SendNoReply(ForgetFrom(9));
   }
-  std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+  std::vector<FuseRequest> batch = PollRequests(conn);
   EXPECT_EQ(batch.size(), kBurst);
   auto stats = conn.stats();
   EXPECT_GE(stats.max_reqs_per_reap, kBurst);

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/cntrfs.h"
@@ -15,6 +17,7 @@
 #include "src/fuse/fuse_mount.h"
 #include "src/fuse/fuse_server_pool.h"
 #include "src/kernel/kernel.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::fuse {
 namespace {
@@ -317,6 +320,95 @@ TEST_F(SpliceTransportTest, SpliceOffMountNeverTouchesLanes) {
   EXPECT_EQ(stats.splice_fallbacks, 0u);
   EXPECT_EQ(cntrfs_->stats().spliced_reads, 0u);
   EXPECT_EQ(cntrfs_->stats().spliced_writes, 0u);
+}
+
+// --- the lane rule, on a raw connection ---
+
+// The all-or-nothing claim the copy fallback relies on, F_SETPIPE_SZ's
+// limits, and the release an abort may race: giving bytes back to a lane
+// Abort already cleared leaves it empty instead of wrapping.
+TEST(SpliceLaneTest, LedgerClaimsWholePayloadsAndReleaseClampsAtZero) {
+  constexpr size_t kPage = kernel::kPageSize;
+  LaneLedger lanes;
+  EXPECT_EQ(lanes.Resize(kPage + 1).value(), 2 * kPage) << "rounded up to a power of two";
+  EXPECT_EQ(lanes.Resize(0).error(), EINVAL);
+  EXPECT_EQ(lanes.Resize(kernel::kPipeMaxCapacity + 1).error(), EPERM);
+  EXPECT_FALSE(lanes.Claim(LaneLedger::kIn, 3 * kPage).has_value());
+  EXPECT_EQ(lanes.held(), 0u) << "a payload no lane fits must not hold a partial claim";
+
+  std::optional<uint32_t> lane = lanes.Claim(LaneLedger::kIn, 2 * kPage);
+  ASSERT_TRUE(lane.has_value());
+  EXPECT_EQ(*lane, 0u);
+  EXPECT_EQ(lanes.Claim(LaneLedger::kIn, kPage), 1u) << "a full lane passes to the next";
+  EXPECT_EQ(lanes.Claim(LaneLedger::kOut, 2 * kPage), 0u) << "directions hold apart";
+  EXPECT_EQ(lanes.Resize(kPage).error(), EBUSY);
+  EXPECT_EQ(lanes.held(), 5 * kPage);
+
+  lanes.Clear();
+  lanes.Release(LaneLedger::kIn, *lane, 2 * kPage);
+  EXPECT_EQ(lanes.held(), 0u);
+  EXPECT_EQ(lanes.Claim(LaneLedger::kIn, 2 * kPage), 0u) << "the cleared lane is whole again";
+}
+
+FuseRequest SplicedWrite(size_t pages) {
+  FuseRequest req;
+  req.opcode = FuseOpcode::kWrite;
+  req.spliced = true;
+  for (size_t i = 0; i < pages; ++i) {
+    req.payload_pages.push_back(splice::PageRef::Alloc(kernel::kPageSize));
+  }
+  return req;
+}
+
+// Each of the kLanePoolSize lanes is its own pipe: a payload claims one lane
+// whole, and a payload only copies when no single lane has room for it. A
+// budget pooled across the lanes would admit a ninth payload here.
+TEST(SpliceLaneTest, PayloadsClaimWholeLanesAndTheOverflowCopies) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs);  // autosize defaults off at the conn layer
+  const size_t lane_pages = conn.lane_capacity(0) / kernel::kPageSize;
+  const size_t pages = lane_pages / 2 + 1;  // two never share a lane
+  const uint64_t payload = pages * kernel::kPageSize;
+  constexpr size_t kWriters = kLanePoolSize + 1;
+
+  std::vector<std::thread> writers;
+  for (size_t i = 0; i < kWriters; ++i) {
+    writers.emplace_back([&] { EXPECT_TRUE(conn.SendAndWait(SplicedWrite(pages)).ok()); });
+  }
+  // Every payload is gated before its SQE is counted as queued.
+  while (conn.queued_depth() < kWriters) {
+    std::this_thread::yield();
+  }
+  FuseConn::Stats stats = conn.stats();
+  EXPECT_EQ(stats.splice_fallbacks, 1u);
+  EXPECT_EQ(stats.copied_bytes, payload);
+  EXPECT_EQ(stats.spliced_bytes, kLanePoolSize * payload);
+  EXPECT_EQ(conn.lane_bytes_in_flight(), kLanePoolSize * payload);
+
+  size_t copied = 0;
+  for (size_t served = 0; served < kWriters; ++served) {
+    std::optional<FuseRequest> req = PollRequest(conn);
+    ASSERT_TRUE(req.has_value());
+    copied += req->spliced ? 0 : 1;
+    conn.WriteReply(req->unique, FuseReply{});
+  }
+  for (auto& t : writers) {
+    t.join();
+  }
+  EXPECT_EQ(copied, 1u);
+  EXPECT_EQ(conn.lane_bytes_in_flight(), 0u) << "consuming a message frees its lane";
+
+  // Freed lanes admit a payload as large as the lane itself.
+  std::thread writer([&] { EXPECT_TRUE(conn.SendAndWait(SplicedWrite(lane_pages)).ok()); });
+  std::optional<FuseRequest> req = PollRequest(conn);
+  ASSERT_TRUE(req.has_value());
+  EXPECT_TRUE(req->spliced);
+  conn.WriteReply(req->unique, FuseReply{});
+  writer.join();
+  EXPECT_EQ(conn.stats().splice_fallbacks, 1u);
+  EXPECT_EQ(conn.lane_bytes_in_flight(), 0u);
+  conn.Abort();
 }
 
 }  // namespace

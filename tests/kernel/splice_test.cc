@@ -370,25 +370,5 @@ TEST_F(SpliceTest, TmpfsHoleReadsAsZeroPageRefs) {
   ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
 }
 
-TEST_F(SpliceTest, PushSegmentsRequireAllIsAtomic) {
-  PipeBuffer buf(nullptr, /*capacity=*/2 * kPageSize);
-  buf.AddReader();
-  buf.AddWriter();
-  std::vector<PipeSegment> three;
-  for (int i = 0; i < 3; ++i) {
-    three.push_back(PipeSegment::Of(splice::PageRef::Alloc(kPageSize)));
-  }
-  EXPECT_EQ(buf.PushSegments(std::move(three), /*nonblock=*/true, /*require_all=*/true).error(),
-            EAGAIN);
-  EXPECT_EQ(buf.Available(), 0u) << "an all-or-nothing push must not queue a partial payload";
-  std::vector<PipeSegment> two;
-  for (int i = 0; i < 2; ++i) {
-    two.push_back(PipeSegment::Of(splice::PageRef::Alloc(kPageSize)));
-  }
-  auto pushed = buf.PushSegments(std::move(two), true, true);
-  ASSERT_TRUE(pushed.ok());
-  EXPECT_EQ(pushed.value(), 2u * kPageSize);
-}
-
 }  // namespace
 }  // namespace cntr::kernel

@@ -18,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/logging.h"
+#include "tests/fuse/poll_requests.h"
 
 namespace cntr::obs {
 namespace {
@@ -28,6 +29,8 @@ using fuse::FuseConn;
 using fuse::FuseOpcode;
 using fuse::FuseReply;
 using fuse::FuseRequest;
+using fuse::PollRequest;
+using fuse::PollRequests;
 using fuse::kFuseRootId;
 
 FuseRequest GetattrFrom(kernel::Pid pid) {
@@ -134,7 +137,7 @@ TEST(TraceTransportTest, LegacyRoundTripLandsPhaseHistograms) {
     auto reply = conn.SendAndWait(GetattrFrom(7));
     EXPECT_TRUE(reply.ok());
   });
-  auto req = conn.ReadRequest();
+  auto req = PollRequest(conn);
   ASSERT_TRUE(req.has_value());
   ASSERT_NE(req->span, nullptr) << "tracing on: the request must carry a span";
   conn.WriteReply(req->unique, FuseReply{});
@@ -165,7 +168,7 @@ TEST(TraceTransportTest, ErrnoRepliesTagTheErrorOutcome) {
     ASSERT_FALSE(reply.ok()) << "errno replies surface as a Status";
     EXPECT_EQ(reply.status().error(), ENOENT);
   });
-  auto req = conn.ReadRequest();
+  auto req = PollRequest(conn);
   ASSERT_TRUE(req.has_value());
   FuseReply reply;
   reply.error = ENOENT;
@@ -187,7 +190,7 @@ TEST(TraceTransportTest, AbortUnderTheWaiterTagsTheAbortOutcome) {
     auto reply = conn.SendAndWait(GetattrFrom(11));
     EXPECT_FALSE(reply.ok());
   });
-  auto req = conn.ReadRequest();
+  auto req = PollRequest(conn);
   ASSERT_TRUE(req.has_value());
   conn.Abort();  // die with the request in the server's hands
   client.join();
@@ -203,7 +206,7 @@ TEST(TraceTransportTest, TracingOffSkipsHistogramsButNotOutcomes) {
   FuseConn conn(&clock, &costs, 1, nullptr, &reg);
 
   std::thread client([&] { (void)conn.SendAndWait(GetattrFrom(13)); });
-  auto req = conn.ReadRequest();
+  auto req = PollRequest(conn);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->span, nullptr);
   conn.WriteReply(req->unique, FuseReply{});
@@ -238,7 +241,7 @@ TEST(TraceTransportTest, RingOutOfOrderCompletionKeepsSpansStraight) {
   // submission order: each waiter's wake pairs with its own span.
   std::vector<FuseRequest> pending;
   while (pending.size() < kClients) {
-    std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+    std::vector<FuseRequest> batch = PollRequests(conn);
     ASSERT_FALSE(batch.empty());
     for (FuseRequest& req : batch) {
       ASSERT_NE(req.span, nullptr);
@@ -428,7 +431,7 @@ TEST(StatsConsistencyTest, ConcurrentSnapshotsUnderTraffic) {
   for (size_t ch = 0; ch < 2; ++ch) {
     servers.emplace_back([&, ch] {
       while (true) {
-        std::vector<FuseRequest> batch = conn.ReadRequestBatch(ch, /*max_batch=*/8);
+        std::vector<FuseRequest> batch = PollRequests(conn, ch, /*max_batch=*/8);
         if (batch.empty()) {
           return;  // aborted and drained
         }
