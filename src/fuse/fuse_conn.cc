@@ -675,11 +675,13 @@ void FuseConn::SendNoReply(FuseRequest request) {
   const FuseOpcode op = request.opcode;
   request.unique = 0;  // no reply expected
   request.channel = static_cast<uint32_t>(ch_idx);
-  // No lane: nothing blocks on a forget, so the submitting thread's lane may
-  // be torn down long before the queue drains — a reply-carrying request is
-  // different, because its caller sleeps until the worker is done with the
-  // lane.
-  request.lane = nullptr;
+  // A lane of its own, never the submitter's: nothing blocks on a forget,
+  // so the submitting thread may run on (or tear its lane down) while the
+  // worker handles it — a reply-carrying request is different, because its
+  // caller sleeps until the worker is done with the lane. Nor the shared
+  // timeline: the server work (DoForget's per-node Getattr) would land on
+  // it at a moment set by thread scheduling. Nothing reads this lane.
+  request.lane = std::make_shared<SimClock::Lane>();
   // One SQE fill: no completion slot, no waiting, no doorbell.
   clock_->Advance(ring.paper() ? costs_->fuse_round_trip_ns / 2 : costs_->fuse_ring_sqe_ns);
   ring.submitting.fetch_add(1, std::memory_order_seq_cst);
@@ -1429,7 +1431,7 @@ void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t u
   notify.opcode = FuseOpcode::kInterrupt;
   notify.interrupt_unique = unique;
   notify.channel = static_cast<uint32_t>(ch_idx);
-  notify.lane = nullptr;
+  notify.lane = std::make_shared<SimClock::Lane>();  // see SendNoReply
   RingState& ring = ch.ring();
   // Best effort: a notification that finds the ring full is dropped — the
   // waiter is already unblocked either way. Counted before it is published,

@@ -232,7 +232,8 @@ class FuseConn {
   // Fire-and-forget (FORGET/BATCH_FORGET have no reply). Charges one SQE
   // fill (half a round trip under the paper profile). Routed by pid like
   // SendAndWait, so forgets stay ordered behind the caller's lookups on the
-  // same channel.
+  // same channel. The server handles it on a fresh lane of its own, so its
+  // work moves no timeline anyone reads.
   void SendNoReply(FuseRequest request);
 
   // --- server side ---

@@ -194,17 +194,12 @@ StatusOr<std::shared_ptr<FuseFs>> FuseFs::Create(kernel::Kernel* kernel,
     std::lock_guard<analysis::CheckedMutex> lock(fs->inodes_mu_);
     fs->inodes_[kFuseRootId] = fs->root_;
   }
-  if (opts.writeback_cache && opts.flusher_threads > 0) {
-    fs->StartFlushers();
-  }
   return fs;
 }
 
 FuseFs::FuseFs(kernel::Kernel* kernel, std::shared_ptr<FuseConn> conn, FuseMountOptions opts)
     : kernel::FileSystem(kernel->AllocDevId()), kernel_(kernel), conn_(std::move(conn)),
-      opts_(opts) {}
-
-FuseFs::~FuseFs() { StopFlushers(); }
+      opts_(opts), flushers_(opts.flusher_threads) {}
 
 Status FuseFs::NegotiateInit() {
   // INIT negotiation.
@@ -360,13 +355,10 @@ Status FuseFs::Reconnect(std::shared_ptr<FuseConn> conn) {
     (void)file->Reopen();
   }
 
-  // Restart the writeback machinery: reap any flusher threads the crash
-  // killed (a fuse.flusher kKill fault exits the thread body but leaves it
-  // joinable), then bring the pool back to full strength.
-  if (opts_.writeback_cache && opts_.flusher_threads > 0 &&
-      flusher_count_.load(std::memory_order_acquire) < opts_.flusher_threads) {
-    StopFlushers();
-    StartFlushers();
+  // Revive the flusher lanes a fuse.flusher kKill retired.
+  for (Flusher& flusher : flushers_) {
+    std::lock_guard<analysis::CheckedMutex> lock(flusher.mu);
+    flusher.live.store(true, std::memory_order_release);
   }
   return Status::Ok();
 }
@@ -522,49 +514,103 @@ void FuseFs::FlushForgets() {
 
 void FuseFs::NoteDirty(FuseInode* inode, uint64_t newly_dirty_bytes) {
   dirty_bytes_.fetch_add(newly_dirty_bytes);
+  auto self = [inode] {
+    return DirtyRef{inode, std::static_pointer_cast<FuseInode>(inode->weak_from_this().lock())};
+  };
   {
     std::lock_guard<analysis::CheckedMutex> lock(dirty_mu_);
     if (!inode->dirty_registered_) {
       inode->dirty_registered_ = true;
-      dirty_inodes_.push_back(DirtyRef{
-          inode, std::static_pointer_cast<FuseInode>(inode->weak_from_this().lock())});
+      dirty_inodes_.push_back(self());
     }
   }
-  uint64_t total = dirty_bytes_.load();
-  bool have_flushers = flusher_count_.load(std::memory_order_acquire) > 0;
-  if (have_flushers) {
-    // Background draining: one file past its per-inode limit is handed to
-    // the flushers; past the soft watermark the whole registered dirty set
-    // is (an idle inode's dirty tail must not be able to pin the pool above
-    // the watermark). The writer continues immediately either way.
-    if (total >= opts_.dirty_soft_bytes) {
-      std::vector<DirtyRef> all;
-      {
-        std::lock_guard<analysis::CheckedMutex> lock(dirty_mu_);
-        all = dirty_inodes_;
-      }
-      for (const DirtyRef& r : all) {
-        if (auto pinned = r.ref.lock()) {
-          QueueFlush(pinned.get());
-        }
-      }
-    } else if (kernel_->page_cache().DirtyBytes(inode) >= opts_.per_inode_dirty_bytes) {
-      QueueFlush(inode);
+  // Background draining: one file past its per-inode limit is flushed; past
+  // the soft watermark the whole registered dirty set is (an idle inode's
+  // dirty tail must not be able to pin the pool above the watermark).
+  if (dirty_bytes_.load() >= opts_.dirty_soft_bytes) {
+    std::vector<DirtyRef> all;
+    {
+      std::lock_guard<analysis::CheckedMutex> lock(dirty_mu_);
+      all = dirty_inodes_;
     }
-    // Hard watermark: dirty production is outrunning the flushers. Throttle
-    // the writer with bounded work — it cleans its *own* inode, never the
-    // whole dirty set (balance_dirty_pages-style write-behind).
-    if (total >= opts_.dirty_hard_bytes) {
-      foreground_throttles_.fetch_add(1, std::memory_order_relaxed);
-      inode->FlushDirtyPages(UINT64_MAX);
-    }
-  } else if (total >= opts_.dirty_hard_bytes) {
-    // Legacy behaviour (flushers disabled): the writer synchronously drains
-    // everything at the hard watermark — the flush storm the adaptive path
-    // exists to avoid.
+    BackgroundFlush(all);
+  } else if (kernel_->page_cache().DirtyBytes(inode) >= opts_.per_inode_dirty_bytes) {
+    BackgroundFlush({self()});
+  }
+  // Hard watermark: the background flush was skipped (a fault, an abort) or
+  // a concurrent writer outran it. Throttle the writer with bounded work —
+  // it cleans its *own* inode, never the whole dirty set
+  // (balance_dirty_pages-style write-behind).
+  if (dirty_bytes_.load() >= opts_.dirty_hard_bytes) {
     foreground_throttles_.fetch_add(1, std::memory_order_relaxed);
-    FlushAllDirty();
+    inode->FlushDirtyPages(UINT64_MAX);
   }
+}
+
+void FuseFs::BackgroundFlush(const std::vector<DirtyRef>& work) {
+  // Claim the next live flusher lane, round-robin. A lane is a serial
+  // timeline, so the claim holds its lock for the whole flush; one retired
+  // while this writer queued on it is passed over.
+  std::unique_lock<analysis::CheckedMutex> claim;
+  Flusher* flusher = nullptr;
+  for (size_t tries = 0; tries < flushers_.size() && flusher == nullptr; ++tries) {
+    Flusher& f =
+        flushers_[next_flusher_.fetch_add(1, std::memory_order_relaxed) % flushers_.size()];
+    if (!f.live.load(std::memory_order_acquire)) {
+      continue;
+    }
+    claim = std::unique_lock<analysis::CheckedMutex>(f.mu);
+    if (f.live.load(std::memory_order_acquire)) {
+      flusher = &f;
+    } else {
+      claim.unlock();
+    }
+  }
+  // On a flusher lane the round trips, and the server work they trigger,
+  // accrue to the lane, so background writeback overlaps foreground
+  // progress instead of inflating it; they run as the kernel's flusher (pid
+  // 0), so channel routing and a dying writer's InterruptPid never touch
+  // them. With no live flusher the writer pays, on its own timeline and
+  // under its own pid (a null lane keeps the current attachment).
+  SimClock::LaneScope lane(flusher != nullptr ? flusher->lane : nullptr);
+  kernel::Kernel::CurrentScope caller(flusher != nullptr ? 0 : kernel::Kernel::CurrentPid());
+  for (const DirtyRef& r : work) {
+    auto inode = r.ref.lock();
+    if (inode == nullptr) {
+      continue;  // died since the snapshot (the destructor de-accounted)
+    }
+    auto hit = flusher != nullptr ? kernel_->faults().Check(kFaultFlusher) : fault::FaultHit{};
+    if (hit) {
+      if (hit.latency_ns != 0) {
+        kernel_->clock().Advance(hit.latency_ns);
+      }
+      if (hit.action == fault::FaultAction::kKill) {
+        // Flusher death: retire the lane; with none left, writers flush on
+        // their own timelines until Reconnect revives it.
+        flusher->live.store(false, std::memory_order_release);
+        return;
+      }
+      if (hit.action == fault::FaultAction::kFail) {
+        // Simulated writeback failure without a round trip: the errseq
+        // stream carries it (the pages stay dirty for the next flush).
+        RecordWbErr(hit.error);
+      }
+      continue;  // kFail/kDrop: this inode's flush is skipped
+    }
+    // A dead connection must not start a doomed WRITE storm; FlushDirtyPages
+    // itself re-checks between runs for the mid-flush abort.
+    if (conn_->aborted()) {
+      continue;
+    }
+    inode->FlushDirtyPages(UINT64_MAX);
+    background_flushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+uint32_t FuseFs::live_flushers() const {
+  return static_cast<uint32_t>(std::count_if(
+      flushers_.begin(), flushers_.end(),
+      [](const Flusher& f) { return f.live.load(std::memory_order_acquire); }));
 }
 
 void FuseFs::SubDirty(uint64_t bytes) {
@@ -597,101 +643,7 @@ void FuseFs::FlushAllDirty() {
   }
 }
 
-void FuseFs::StartFlushers() {
-  std::lock_guard<analysis::CheckedMutex> lock(flush_mu_);
-  flushers_stop_ = false;
-  flushers_.reserve(opts_.flusher_threads);
-  for (uint32_t i = 0; i < opts_.flusher_threads; ++i) {
-    flushers_.emplace_back([this] { FlusherLoop(); });
-  }
-  flusher_count_.store(static_cast<uint32_t>(flushers_.size()), std::memory_order_release);
-}
-
-void FuseFs::StopFlushers() {
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(flush_mu_);
-    if (flushers_.empty()) {
-      return;
-    }
-    flushers_stop_ = true;
-    // Writers fall back to the synchronous path from here on; the vector
-    // itself is only mutated below, after the join.
-    flusher_count_.store(0, std::memory_order_release);
-  }
-  flush_cv_.notify_all();
-  for (std::thread& t : flushers_) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
-  flushers_.clear();
-}
-
-void FuseFs::QueueFlush(FuseInode* inode) {
-  if (inode->flush_queued_.exchange(true, std::memory_order_acq_rel)) {
-    return;  // already queued
-  }
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(flush_mu_);
-    flush_queue_.push_back(DirtyRef{
-        inode, std::static_pointer_cast<FuseInode>(inode->weak_from_this().lock())});
-  }
-  flush_cv_.notify_one();
-}
-
-void FuseFs::FlusherLoop() {
-  // Each flusher runs on its own SimClock lane: its round trips and the
-  // server work they trigger accrue to a parallel virtual timeline, so
-  // background writeback genuinely overlaps foreground progress instead of
-  // inflating it (the whole point over the old synchronous drain).
-  SimClock::LaneScope lane(std::make_shared<SimClock::Lane>());
-  while (true) {
-    DirtyRef work;
-    {
-      std::unique_lock<analysis::CheckedMutex> lock(flush_mu_);
-      flush_cv_.wait(lock, [&] { return flushers_stop_ || !flush_queue_.empty(); });
-      if (flushers_stop_ && flush_queue_.empty()) {
-        return;
-      }
-      work = std::move(flush_queue_.front());
-      flush_queue_.pop_front();
-    }
-    if (auto inode = work.ref.lock()) {
-      inode->flush_queued_.store(false, std::memory_order_release);
-      if (auto hit = kernel_->faults().Check(kFaultFlusher)) {
-        if (hit.latency_ns != 0) {
-          kernel_->clock().Advance(hit.latency_ns);
-        }
-        if (hit.action == fault::FaultAction::kKill) {
-          // Flusher thread death: account it gone so writers fall back to
-          // the synchronous path instead of queueing into the void.
-          flusher_count_.fetch_sub(1, std::memory_order_acq_rel);
-          return;
-        }
-        if (hit.action == fault::FaultAction::kFail) {
-          // Simulated writeback failure without a round trip: the dirty
-          // data is considered lost, and the errseq stream carries it.
-          RecordWbErr(hit.error);
-          continue;
-        }
-        continue;  // kDrop: skip this inode's flush (stays dirty, requeues)
-      }
-      // A flusher that wakes to a dead connection must not start a doomed
-      // WRITE storm; FlushDirtyPages itself re-checks between runs for the
-      // mid-flush abort.
-      if (conn_->aborted()) {
-        continue;
-      }
-      inode->FlushDirtyPages(UINT64_MAX);
-      background_flushes_.fetch_add(1, std::memory_order_relaxed);
-    } else if (work.key != nullptr) {
-      // Died in the queue: nothing to flush (the destructor de-accounted).
-    }
-  }
-}
-
 Status FuseFs::Shutdown() {
-  StopFlushers();
   // The final flush is the last chance to get dirty bytes to the server;
   // sample the errseq stream around it so a failure surfaces to the detach
   // caller even with no fd left open to report it.

@@ -26,13 +26,10 @@
 #define CNTR_SRC_FUSE_FUSE_FS_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/fuse/fuse_conn.h"
@@ -83,21 +80,23 @@ struct FuseMountOptions {
   // --- Adaptive writeback (replaces the old single 256MB flush-everything
   // threshold, which over-buffered small files and then stalled the writing
   // caller on a synchronous flush storm) ---
-  // Soft watermark: past this many dirty bytes, background flushers start
-  // draining — foreground writers are not stalled.
+  // Soft watermark: past this many dirty bytes, the whole dirty set is
+  // flushed in the background (on a flusher lane) — the writer is not
+  // stalled.
   uint64_t dirty_soft_bytes = 64ull << 20;
-  // Hard watermark: past this, the foreground writer throttles by flushing
-  // its *own* inode (bounded work), never the whole dirty set. With
-  // flusher_threads == 0 this degrades to the legacy synchronous
-  // flush-everything behaviour.
+  // Hard watermark: the backstop for when background flushes are skipped (a
+  // fault, an aborted mount) or a concurrent writer outruns them. Past it,
+  // the writer throttles by flushing its *own* inode (bounded work), never
+  // the whole dirty set.
   uint64_t dirty_hard_bytes = 256ull << 20;
-  // Per-inode dirty ceiling: one streaming file is handed to the background
-  // flushers this often, so its dirty tail stays bounded.
+  // Per-inode dirty ceiling: one streaming file is flushed in the background
+  // this often, so its dirty tail stays bounded.
   uint64_t per_inode_dirty_bytes = 16ull << 20;
-  // Background flusher threads (pdflush analogue) run on private SimClock
-  // lanes — their round trips overlap foreground work instead of stalling
-  // it. 0 disables them (legacy: the writer flushes synchronously at the
-  // hard watermark).
+  // Flusher lanes (pdflush analogue, without threads): the writer that
+  // trips a watermark runs the flush itself inside a LaneScope on one of
+  // these private SimClock lanes, so the round trips overlap foreground
+  // work instead of stalling it. 0 puts every flush on the writer's own
+  // timeline: the writer pays for the soft-watermark drain.
   uint32_t flusher_threads = 2;
   // Cloned /dev/fuse request queues (FUSE_DEV_IOC_CLONE analogue). Requests
   // route to a channel by caller pid, sticky, so independent processes stop
@@ -163,8 +162,9 @@ struct FuseMountOptions {
   static FuseMountOptions Optimized() { return FuseMountOptions{}; }
   // The paper's tuned configuration exactly: every §3.3 optimization on,
   // but the PR 3-era fixed 128KiB windows and the synchronous 256MB
-  // flush-everything writeback. Figure 2/4 reproductions use this so their
-  // numbers keep tracking the paper; Optimized() is what ships.
+  // flush-everything writeback (no flusher lanes, soft == hard: the writer
+  // drains the whole dirty set at 256MB). Figure 2/4 reproductions use this
+  // so their numbers keep tracking the paper; Optimized() is what ships.
   static FuseMountOptions Paper() {
     FuseMountOptions o;
     o.max_pages = 0;
@@ -188,7 +188,7 @@ struct FuseMountOptions {
     o.batch_forget = false;
     o.readdirplus = false;
     o.max_pages = 0;         // legacy 32-page / 128KiB windows
-    o.flusher_threads = 0;   // synchronous flush at the hard watermark
+    o.flusher_threads = 0;   // never used: write-through dirties no page
     o.lane_autosize = false;
     o.ring_enabled = false;  // the paper's wakeup-handshake cost profile
     return o;
@@ -204,7 +204,6 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   static StatusOr<std::shared_ptr<FuseFs>> Create(kernel::Kernel* kernel,
                                                   std::shared_ptr<FuseConn> conn,
                                                   FuseMountOptions opts);
-  ~FuseFs() override;
 
   kernel::InodePtr root() override;
   std::string Type() const override { return "fuse.cntrfs"; }
@@ -263,10 +262,11 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   void QueueForget(uint64_t nodeid, uint64_t nlookup);
   void FlushForgets();
 
-  // Writeback bookkeeping. NoteDirty applies the watermark policy: queue the
-  // inode for the background flushers at the per-inode limit or the soft
-  // watermark, throttle the calling writer (bounded own-inode flush, or the
-  // legacy full drain when flushers are off) at the hard watermark.
+  // Writeback bookkeeping. NoteDirty applies the watermark policy: at the
+  // per-inode limit (that inode) or the soft watermark (the whole dirty
+  // set) the writer flushes right there, on a flusher lane as the kernel
+  // (pid 0) or, with no live flusher, on its own timeline; at the hard
+  // watermark it throttles with a bounded flush of its own inode.
   void NoteDirty(FuseInode* inode, uint64_t newly_dirty_bytes);
   void ForgetDirty(FuseInode* inode);
   void FlushAllDirty();
@@ -274,11 +274,13 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   // Exact decrement helper (clamped at zero) for flush paths.
   void SubDirty(uint64_t bytes);
 
-  // Writeback observability: inodes drained by the background flushers, and
-  // foreground writers throttled at the hard watermark.
+  // Writeback observability: inodes flushed at the per-inode limit or the
+  // soft watermark, foreground writers throttled at the hard watermark, and
+  // flusher lanes not retired by a fuse.flusher kKill (Reconnect revives
+  // them).
   uint64_t background_flushes() const { return background_flushes_.load(); }
   uint64_t foreground_throttles() const { return foreground_throttles_.load(); }
-  uint32_t flusher_thread_count() const { return flusher_count_.load(std::memory_order_acquire); }
+  uint32_t live_flushers() const;
 
   // Detach: flush, send DESTROY, abort the connection. Returns the first
   // writeback error hit while draining the final flush (the dirty data is
@@ -319,15 +321,6 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   // to conn_. Shared by Create and Reconnect.
   Status NegotiateInit();
 
-  // Background flusher machinery: NoteDirty enqueues inodes (deduplicated
-  // by FuseInode::flush_queued_), flusher threads drain them on private
-  // SimClock lanes so their round trips never advance the foreground
-  // timeline. Weak references: an inode dropped mid-queue just skips.
-  void StartFlushers();
-  void StopFlushers();
-  void QueueFlush(FuseInode* inode);
-  void FlusherLoop();
-
   kernel::Kernel* kernel_;
   std::shared_ptr<FuseConn> conn_;
   FuseMountOptions opts_;
@@ -352,22 +345,29 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
 
   std::atomic<uint64_t> dirty_bytes_{0};
   analysis::CheckedMutex dirty_mu_{"fuse.fs.dirty"};
-  // Registered dirty inodes, with weak refs so FlushAllDirty and the
-  // flushers can pin an inode across the flush (or skip one that died).
+  // Registered dirty inodes, with weak refs so a flush can pin an inode
+  // across it (or skip one that died).
   struct DirtyRef {
     FuseInode* key = nullptr;
     std::weak_ptr<FuseInode> ref;
   };
   std::vector<DirtyRef> dirty_inodes_;
 
-  analysis::CheckedMutex flush_mu_{"fuse.fs.flusher"};
-  analysis::CheckedCondVar flush_cv_{"fuse.fs.flusher.cv"};
-  std::deque<DirtyRef> flush_queue_;
-  bool flushers_stop_ = false;
-  std::vector<std::thread> flushers_;
-  // Lock-free mirror of flushers_.size() for the NoteDirty hot path (the
-  // vector itself is only touched under flush_mu_ / at start-stop).
-  std::atomic<uint32_t> flusher_count_{0};
+  // One flusher lane: a serial virtual timeline, so the writer that runs a
+  // background flush on it holds `mu` for the whole flush (writers that
+  // trip a watermark together queue here). `live` is written under `mu`
+  // and read without it as a pick hint.
+  struct Flusher {
+    analysis::CheckedMutex mu{"fuse.fs.flusher"};
+    SimClock::LanePtr lane = std::make_shared<SimClock::Lane>();
+    std::atomic<bool> live{true};
+  };
+  // Flushes `work` in the background: on the next live flusher lane
+  // (round-robin) as the kernel, probing fuse.flusher per inode; with no
+  // live flusher, on the writer's own timeline.
+  void BackgroundFlush(const std::vector<DirtyRef>& work);
+  std::vector<Flusher> flushers_;  // sized once, at construction
+  std::atomic<uint32_t> next_flusher_{0};
   std::atomic<uint64_t> background_flushes_{0};
   std::atomic<uint64_t> foreground_throttles_{0};
 
@@ -490,9 +490,7 @@ class FuseInode : public kernel::Inode {
   uint64_t last_known_fh_ = UINT64_MAX;  // for flush without an open file
   std::weak_ptr<FuseInode> parent_hint_;
   bool dirty_registered_ = false;
-  // Deduplicates background-flush queueing (cleared by the flusher).
-  std::atomic<bool> flush_queued_{false};
-  // Serializes whole-inode flushes so a background flusher and a throttled
+  // Serializes whole-inode flushes so a background flush and a throttled
   // foreground writer do not issue duplicate WRITEs for the same extents.
   analysis::CheckedMutex flush_mu_{"fuse.fs.inode.flush"};
 

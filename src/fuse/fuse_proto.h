@@ -151,6 +151,8 @@ struct FuseRequest {
   uint32_t lane_idx = 0;
   // Virtual timeline of the submitting thread; the server worker adopts it
   // while handling so server-side costs charge the caller that incurred them.
+  // A no-reply submission (FORGET, DESTROY, INTERRUPT notice) carries a
+  // fresh lane of its own instead: nobody waits on its costs.
   SimClock::LanePtr lane;
   // Trace span (shared-owned like the lane: the waiter keeps a reference).
   // Null when tracing is disabled or the submission expects no reply.

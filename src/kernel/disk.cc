@@ -44,16 +44,6 @@ void DiskModel::ChargeDirectWrite(uint64_t bytes, uint32_t ops) {
                   kDirectParallelism);
 }
 
-void DiskModel::ChargeParallelWrite(uint64_t bytes, uint32_t ops, uint32_t queue_depth) {
-  if (queue_depth == 0) {
-    queue_depth = 1;
-  }
-  write_ops_->Add(ops);
-  bytes_written_->Add(bytes);
-  clock_->Advance(static_cast<uint64_t>(ops) * costs_->disk_op_ns / queue_depth +
-                  bytes * costs_->disk_byte_ns_num / costs_->disk_byte_ns_den);
-}
-
 void DiskModel::ReadData(Ino ino, uint64_t off, uint64_t len, char* out) const {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   std::memset(out, 0, len);

@@ -34,11 +34,6 @@ class DiskModel {
   void ChargeWrite(uint64_t bytes, uint32_t ops);
   // Durability barrier (journal commit / FUA).
   void ChargeFlush();
-  // Overlapped I/O at the given queue depth (AIO on the native path): the
-  // per-op fixed costs overlap, so effective time divides by the depth while
-  // the streaming (per-byte) cost remains serial on the device link.
-  void ChargeParallelWrite(uint64_t bytes, uint32_t ops, uint32_t queue_depth);
-
   // Direct (O_DIRECT) transfers overlap at the device's effective queue
   // depth: network-attached volumes like EBS stripe across backends, so both
   // fixed and streaming costs divide by kDirectParallelism (AIO-Stress

@@ -39,9 +39,9 @@ thread_local Pid tls_current_pid = 0;
 
 Pid Kernel::CurrentPid() { return tls_current_pid; }
 
-Kernel::CurrentScope::CurrentScope(const Process& proc) : prev_(tls_current_pid) {
-  tls_current_pid = proc.global_pid();
-}
+Kernel::CurrentScope::CurrentScope(const Process& proc) : CurrentScope(proc.global_pid()) {}
+
+Kernel::CurrentScope::CurrentScope(Pid pid) : prev_(tls_current_pid) { tls_current_pid = pid; }
 
 Kernel::CurrentScope::~CurrentScope() { tls_current_pid = prev_; }
 

@@ -106,10 +106,12 @@ class Kernel {
 
   // RAII installed at syscall entry; nests (an inner syscall made on behalf
   // of another process, e.g. the CNTRFS server resolving as itself inside a
-  // handler, shadows and restores the outer caller).
+  // handler, shadows and restores the outer caller). Pid 0 runs as the
+  // kernel itself (the FUSE writeback flusher).
   class CurrentScope {
    public:
     explicit CurrentScope(const Process& proc);
+    explicit CurrentScope(Pid pid);
     ~CurrentScope();
     CurrentScope(const CurrentScope&) = delete;
     CurrentScope& operator=(const CurrentScope&) = delete;
@@ -272,7 +274,6 @@ class Kernel {
   // One component step including mount crossings; no symlink handling.
   StatusOr<VfsPath> StepInto(Process& proc, const VfsPath& at, const std::string& comp);
   Status CheckLsm(Process& proc, std::string_view path, bool write_access);
-  StatusOr<InodeAttr> CachedGetattr(const InodePtr& inode);
   // Enforces the security.capability xattr probe that the kernel performs on
   // every write; its absence is cached only for native filesystems.
   void ChargeWriteXattrProbe(const InodePtr& inode);

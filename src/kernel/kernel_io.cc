@@ -638,8 +638,6 @@ void Kernel::ChargeWriteXattrProbe(const InodePtr& inode) {
   }
 }
 
-StatusOr<InodeAttr> Kernel::CachedGetattr(const InodePtr& inode) { return inode->Getattr(); }
-
 // ---------------------------------------------------------------------------
 // Pipes, sockets, epoll, splice
 // ---------------------------------------------------------------------------

@@ -657,11 +657,6 @@ StatusOr<InodePtr> MemInode::Parent() {
   return InodePtr(parent);
 }
 
-bool MemInode::IsEmptyDir() {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  return IsDir(attr_.mode) && entries_.empty();
-}
-
 void MemInode::TouchCTimeLocked() { attr_.mtime = attr_.ctime = fs_->Now(); }
 
 uint64_t MemInode::size() const {

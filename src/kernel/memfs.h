@@ -167,8 +167,6 @@ class MemInode : public Inode {
   // Writeback support (called by MemFs under no inode lock).
   uint32_t FlushDirtyPages();
 
-  bool IsEmptyDir();
-
  private:
   friend class MemFs;
 

@@ -109,9 +109,4 @@ void MountNamespace::MakeAllPrivate() {
   }
 }
 
-bool MountNamespace::Contains(const MountPtr& m) const {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  return std::find(mounts_.begin(), mounts_.end(), m) != mounts_.end();
-}
-
 }  // namespace cntr::kernel

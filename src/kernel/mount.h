@@ -109,8 +109,6 @@ class MountNamespace : public NamespaceBase {
   // Marks every mount private (mount --make-rprivate /).
   void MakeAllPrivate();
 
-  bool Contains(const MountPtr& m) const;
-
  private:
   mutable analysis::CheckedMutex mu_{"kernel.mount_table"};
   MountPtr root_;

@@ -22,11 +22,6 @@ std::shared_ptr<void> NetNamespace::LookupAbstract(const std::string& name) cons
   return it == abstract_sockets_.end() ? nullptr : it->second;
 }
 
-void NetNamespace::UnbindAbstract(const std::string& name) {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  abstract_sockets_.erase(name);
-}
-
 std::shared_ptr<CgroupNode> CgroupNode::FindOrCreateChild(const std::string& name) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   auto it = children_.find(name);

@@ -104,7 +104,6 @@ class NetNamespace : public NamespaceBase {
   // Abstract-namespace Unix sockets live per network namespace.
   Status BindAbstract(const std::string& name, std::shared_ptr<void> socket);
   std::shared_ptr<void> LookupAbstract(const std::string& name) const;
-  void UnbindAbstract(const std::string& name);
 
  private:
   mutable analysis::CheckedMutex mu_{"kernel.ns.net"};
@@ -220,15 +219,6 @@ class CgroupNode : public std::enable_shared_from_this<CgroupNode> {
   // "/docker/abc123" style absolute path.
   std::string Path() const;
 
-  void SetLimit(const std::string& key, const std::string& value) {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    limits_[key] = value;
-  }
-  std::map<std::string, std::string> limits() const {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    return limits_;
-  }
-
   void AddProc(Pid pid) {
     std::lock_guard<analysis::CheckedMutex> lock(mu_);
     procs_.push_back(pid);
@@ -252,7 +242,6 @@ class CgroupNode : public std::enable_shared_from_this<CgroupNode> {
   std::weak_ptr<CgroupNode> parent_;
   mutable analysis::CheckedMutex mu_{"kernel.cgroup.node"};
   std::map<std::string, std::shared_ptr<CgroupNode>> children_;
-  std::map<std::string, std::string> limits_;
   std::vector<Pid> procs_;
 };
 

@@ -115,14 +115,6 @@ class PipeBuffer {
     std::lock_guard<analysis::CheckedMutex> lock(mu_);
     return capacity_ - bytes_;
   }
-  bool WriterClosed() const {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    return writers_ == 0;
-  }
-  bool ReaderClosed() const {
-    std::lock_guard<analysis::CheckedMutex> lock(mu_);
-    return readers_ == 0;
-  }
 
   uint32_t ReadEndPollEvents() const;
   uint32_t WriteEndPollEvents() const;

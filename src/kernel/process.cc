@@ -58,26 +58,6 @@ StatusOr<Fd> FdTable::Dup(Fd fd, Fd min_fd, bool cloexec) {
   return nfd;
 }
 
-Status FdTable::Dup2(Fd oldfd, Fd newfd) {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  auto it = fds_.find(oldfd);
-  if (it == fds_.end()) {
-    return Status::Error(EBADF);
-  }
-  fds_[newfd] = Entry{it->second.file, false};
-  return Status::Ok();
-}
-
-bool FdTable::SetCloexec(Fd fd, bool cloexec) {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  auto it = fds_.find(fd);
-  if (it == fds_.end()) {
-    return false;
-  }
-  it->second.cloexec = cloexec;
-  return true;
-}
-
 std::vector<Fd> FdTable::AllFds() const {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   std::vector<Fd> out;

@@ -37,8 +37,6 @@ class FdTable {
   StatusOr<FilePtr> Get(Fd fd) const;
   StatusOr<FilePtr> Take(Fd fd);  // removes and returns (close path)
   StatusOr<Fd> Dup(Fd fd, Fd min_fd, bool cloexec);
-  Status Dup2(Fd oldfd, Fd newfd);
-  bool SetCloexec(Fd fd, bool cloexec);
   std::vector<Fd> AllFds() const;
   void CloseAll();
   // Copies another table's descriptors into this one (fork()).

@@ -99,7 +99,9 @@ class SimClock {
   // One private virtual timeline. A Lane may be attached to at most one
   // thread at a time, but may be handed between threads (the FUSE server
   // worker adopts the requesting client's lane while handling its request,
-  // so server-side costs charge the client that incurred them). Lanes are
+  // so server-side costs charge the client that incurred them; a FUSE
+  // mount's flusher lane is attached by whichever writer runs a background
+  // flush, one at a time under that flusher's lock). Lanes are
   // shared-owned: a request queued with a lane keeps it alive even if the
   // submitting thread abandons the wait (connection abort) and tears its
   // region down before the queue drains.
@@ -161,10 +163,6 @@ class SimClock {
     }
     return now_ns_.fetch_add(ns, std::memory_order_relaxed) + ns;
   }
-
-  void Reset() { now_ns_.store(0, std::memory_order_relaxed); }
-
-  double NowSeconds() const { return static_cast<double>(NowNs()) * 1e-9; }
 
  private:
   // Function-local so cross-TU users get the guarded-init accessor rather

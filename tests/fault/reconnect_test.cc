@@ -127,6 +127,41 @@ TEST_F(ReconnectTest, ReconnectRejectsALiveConnection) {
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok()) << "the live mount must be untouched";
 }
 
+TEST_F(ReconnectTest, ReconnectRevivesRetiredFlusherLanes) {
+  fuse::FuseMountOptions opts = fuse::FuseMountOptions::Optimized();
+  opts.flusher_threads = 2;
+  opts.per_inode_dirty_bytes = 4096;  // every write flushes in the background
+  Mount(opts);
+  FaultSpec kill;
+  kill.action = FaultAction::kKill;  // every probe retires its flusher lane
+  kernel_->faults().Arm("fuse.flusher", kill);
+  auto fd = kernel_->Open(*proc_, "/m/tmp/lanes", kernel::kOWrOnly | kernel::kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  const std::string page(4096, 'l');
+  auto write_page = [&] {
+    ASSERT_TRUE(kernel_->Write(*proc_, fd.value(), page.data(), page.size()).ok());
+  };
+  write_page();
+  write_page();
+  EXPECT_EQ(fuse_fs_->live_flushers(), 0u) << "round-robin: each lane retired once";
+  EXPECT_EQ(fuse_fs_->background_flushes(), 0u);
+
+  // No live lane: the writer flushes on its own timeline, unprobed.
+  write_page();
+  EXPECT_EQ(kernel_->faults().Hits("fuse.flusher"), 2u);
+  EXPECT_EQ(fuse_fs_->background_flushes(), 1u);
+  EXPECT_EQ(fuse_fs_->dirty_bytes(), 0u);
+  kernel_->faults().DisarmAll();
+
+  fuse_fs_->conn().Abort();
+  DoReconnect();
+  EXPECT_EQ(fuse_fs_->live_flushers(), 2u);
+  write_page();
+  EXPECT_EQ(fuse_fs_->background_flushes(), 2u);
+  EXPECT_EQ(fuse_fs_->dirty_bytes(), 0u);
+  ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+}
+
 // The acceptance sweep: for every injection point compiled into the stack,
 // fire it at the Nth hit while a mixed workload runs. The workload may see
 // errors — that is the point — but it must complete (no hangs), leave no

@@ -2,15 +2,14 @@
 //  * FUSE_MAX_PAGES negotiation (granted, declined, legacy server),
 //  * per-open-file sequential readahead ramping vs. random collapse,
 //  * adaptive writeback — per-inode dirty limits, soft/hard watermarks,
-//    background flusher threads, and flusher/foreground write races,
+//    background flushes on flusher lanes (or on the writer's own timeline
+//    with none), and flush/foreground write races,
 //  * splice-lane follow-through and autosizing under fallback pressure,
 //  * per-channel queue-depth statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,18 +165,6 @@ class AdaptiveIoTest : public ::testing::Test {
     return out;
   }
 
-  // Polls a condition for up to 5 real seconds (background flushers run on
-  // real threads).
-  bool WaitFor(const std::function<bool()>& cond) {
-    for (int i = 0; i < 500; ++i) {
-      if (cond()) {
-        return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return cond();
-  }
-
   std::unique_ptr<kernel::Kernel> kernel_;
   kernel::ProcessPtr server_proc_;
   kernel::ProcessPtr proc_;
@@ -298,7 +285,7 @@ TEST_F(AdaptiveIoTest, PerInodeLimitTriggersBackgroundFlush) {
   opts.dirty_soft_bytes = 1ull << 40;  // only the per-inode limit can trip
   opts.dirty_hard_bytes = 1ull << 40;
   Mount(opts);
-  ASSERT_EQ(fuse_fs_->flusher_thread_count(), 1u);
+  ASSERT_EQ(fuse_fs_->live_flushers(), 1u);
 
   const std::string want = Pattern(1 << 20);
   auto fd = kernel_->Open(*proc_, "/m/data/bg.dat",
@@ -311,28 +298,92 @@ TEST_F(AdaptiveIoTest, PerInodeLimitTriggersBackgroundFlush) {
     ASSERT_TRUE(n.ok());
     off += n.value();
   }
-  // The background flusher drains the file without close/fsync.
-  EXPECT_TRUE(WaitFor([&] { return fuse_fs_->background_flushes() > 0; }));
-  EXPECT_TRUE(WaitFor([&] { return cntrfs_->stats().writes > 0; }));
+  // Background flushes drained the file without close/fsync.
+  EXPECT_GT(fuse_fs_->background_flushes(), 0u);
+  EXPECT_GT(cntrfs_->stats().writes, 0u);
   EXPECT_EQ(fuse_fs_->foreground_throttles(), 0u) << "writer must not stall";
   ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
   EXPECT_EQ(ReadHostSide("/data/bg.dat", want.size()), want);
 }
 
-TEST_F(AdaptiveIoTest, HardWatermarkWithoutFlushersDrainsSynchronously) {
+TEST_F(AdaptiveIoTest, SoftWatermarkWithoutFlushersDrainsOnTheWritersTimeline) {
   FuseMountOptions opts = FuseMountOptions::Optimized();
-  opts.flusher_threads = 0;  // legacy configuration
-  opts.dirty_soft_bytes = 64 * 1024;
-  opts.dirty_hard_bytes = 128 * 1024;
+  opts.dirty_soft_bytes = 256 * 1024;
+  opts.dirty_hard_bytes = 1ull << 40;  // only the soft watermark can trip
   opts.per_inode_dirty_bytes = 1ull << 40;
-  Mount(opts);
-  ASSERT_EQ(fuse_fs_->flusher_thread_count(), 0u);
-
   const std::string want = Pattern(1 << 20);
-  WriteThroughMount(*proc_, "/m/data/hard.dat", want, 64 * 1024);
-  EXPECT_GT(fuse_fs_->foreground_throttles(), 0u);
-  EXPECT_LE(fuse_fs_->dirty_bytes(), opts.dirty_hard_bytes);
-  EXPECT_EQ(ReadHostSide("/data/hard.dat", want.size()), want);
+
+  // The same writes (close excluded), once with a flusher lane and once
+  // with none: the writer's virtual time and the WRITEs the drains sent.
+  auto run = [&](uint32_t flushers, uint64_t* writes) {
+    opts.flusher_threads = flushers;
+    Remount(opts);
+    EXPECT_EQ(fuse_fs_->live_flushers(), flushers);
+    auto fd = kernel_->Open(*proc_, "/m/data/soft.dat",
+                            kernel::kOWrOnly | kernel::kOCreat | kernel::kOTrunc, 0644);
+    EXPECT_TRUE(fd.ok());
+    const uint64_t writes_before = cntrfs_->stats().writes;
+    const uint64_t start = kernel_->NowNs();
+    for (size_t off = 0; off < want.size(); off += 64 * 1024) {
+      EXPECT_TRUE(kernel_->Write(*proc_, fd.value(), want.data() + off, 64 * 1024).ok());
+    }
+    const uint64_t elapsed = kernel_->NowNs() - start;
+    *writes = cntrfs_->stats().writes - writes_before;
+    EXPECT_GT(fuse_fs_->background_flushes(), 0u);
+    EXPECT_LT(fuse_fs_->dirty_bytes(), opts.dirty_soft_bytes);
+    EXPECT_EQ(fuse_fs_->foreground_throttles(), 0u);
+    EXPECT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+    EXPECT_EQ(ReadHostSide("/data/soft.dat", want.size()), want);
+    return elapsed;
+  };
+  uint64_t lane_writes = 0;
+  uint64_t own_writes = 0;
+  const uint64_t on_lane = run(1, &lane_writes);
+  const uint64_t on_writer = run(0, &own_writes);
+  ASSERT_GT(own_writes, 0u);
+  EXPECT_EQ(own_writes, lane_writes) << "the same drains, wherever they run";
+  // With no flusher lane the writer pays for every drain WRITE: at least
+  // one ring round trip (SQE, doorbell, CQE) each.
+  const CostModel& costs = kernel_->costs();
+  const uint64_t round_trip =
+      costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns + costs.fuse_ring_cqe_ns;
+  EXPECT_GE(on_writer, on_lane + own_writes * round_trip);
+}
+
+TEST_F(AdaptiveIoTest, PerInodeLimitFlushesBeforeWriteReturnsOffTheWritersTimeline) {
+  FuseMountOptions opts = FuseMountOptions::Optimized();
+  opts.flusher_threads = 1;
+  opts.dirty_soft_bytes = 1ull << 40;  // only the per-inode limit can trip
+  opts.dirty_hard_bytes = 1ull << 40;
+  const std::string want = Pattern(256 * 1024);
+
+  // Four 64KiB writes on a fresh kernel; returns the virtual time the
+  // writer spent inside them (the host-side checks between them excluded).
+  auto run = [&](uint64_t per_inode_limit) {
+    opts.per_inode_dirty_bytes = per_inode_limit;
+    Remount(opts);
+    auto fd = kernel_->Open(*proc_, "/m/data/limit.dat",
+                            kernel::kOWrOnly | kernel::kOCreat | kernel::kOTrunc, 0644);
+    EXPECT_TRUE(fd.ok());
+    uint64_t in_write = 0;
+    for (size_t off = 0; off < want.size(); off += 64 * 1024) {
+      const uint64_t start = kernel_->NowNs();
+      EXPECT_TRUE(kernel_->Write(*proc_, fd.value(), want.data() + off, 64 * 1024).ok());
+      in_write += kernel_->NowNs() - start;
+      if (per_inode_limit == 64 * 1024) {
+        // Each write crosses the limit, and returns with the inode flushed.
+        EXPECT_EQ(fuse_fs_->dirty_bytes(), 0u);
+        EXPECT_EQ(fuse_fs_->background_flushes(), off / (64 * 1024) + 1);
+        EXPECT_EQ(ReadHostSide("/data/limit.dat", want.size()),
+                  want.substr(0, off + 64 * 1024));
+      }
+    }
+    EXPECT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+    return in_write;
+  };
+  const uint64_t flushed = run(64 * 1024);
+  EXPECT_EQ(run(64 * 1024), flushed) << "two fresh kernels, the same writes, the same time";
+  EXPECT_EQ(run(1ull << 40), flushed) << "the flushes must stay off the writer's timeline";
 }
 
 TEST_F(AdaptiveIoTest, HardWatermarkWithFlushersThrottlesBounded) {
@@ -391,9 +442,9 @@ TEST_F(AdaptiveIoTest, SoftWatermarkDrainsIdleDirtyInodesToo) {
   ASSERT_TRUE(fdb.ok());
   ASSERT_TRUE(kernel_->Write(*proc_, fdb.value(), b.data(), b.size()).ok());
 
-  EXPECT_TRUE(WaitFor([&] { return fuse_fs_->dirty_bytes() < opts.dirty_soft_bytes; }));
+  EXPECT_LT(fuse_fs_->dirty_bytes(), opts.dirty_soft_bytes);
   // A's bytes reached the server without fsync/close on A.
-  EXPECT_TRUE(WaitFor([&] { return ReadHostSide("/data/idle.dat", a.size()) == a; }));
+  EXPECT_EQ(ReadHostSide("/data/idle.dat", a.size()), a);
   ASSERT_TRUE(kernel_->Close(*proc_, fda.value()).ok());
   ASSERT_TRUE(kernel_->Close(*proc_, fdb.value()).ok());
 }

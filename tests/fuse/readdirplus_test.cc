@@ -278,6 +278,32 @@ TEST_F(ReaddirPlusTest, RepeatedWalksDoNotLeakServerNodes) {
   EXPECT_LE(nodes, 8u) << "forget balance must drain the server node table";
 }
 
+TEST_F(ReaddirPlusTest, ForgetsAreServedOffTheSharedTimeline) {
+  Mount(FuseMountOptions::Optimized());
+  SeedBigDir();
+  // The client runs on a lane of its own, so nothing it does moves the
+  // shared timeline; neither may the server work for its forgets, which
+  // nobody waits on.
+  SimClock::LaneScope client(std::make_shared<SimClock::Lane>());
+  (void)ColdWalkRequests();
+  const uint64_t shared_before = kernel_->clock().NowOnLane(nullptr);
+  const uint64_t sent_before = conn_->stats().forgets;
+  const uint64_t served_before = cntrfs_->stats().forgets;
+  kernel_->dcache().Clear();  // drop the primed children -> BATCH_FORGETs
+  fuse_fs_->FlushForgets();
+  const uint64_t sent = conn_->stats().forgets - sent_before;
+  ASSERT_GT(sent, 0u);
+  // Fire-and-forget: wait (real time) until the pool has served them all.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cntrfs_->stats().forgets - served_before < sent &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(cntrfs_->stats().forgets - served_before, sent);
+  EXPECT_EQ(kernel_->clock().NowOnLane(nullptr), shared_before)
+      << "FORGET handling must not charge the shared timeline";
+}
+
 TEST_F(ReaddirPlusTest, PrimedChildrenResolveToSameInodeAsLookup) {
   Mount(FuseMountOptions::Optimized());
   SeedBigDir();
