@@ -45,7 +45,9 @@ StatusOr<std::unique_ptr<AttachedSession>> Cntr::AttachPid(kernel::Pid pid, Atta
   CNTR_ASSIGN_OR_RETURN(session->context_, GatherContext(kernel_, *session->cntr_proc_, pid));
 
   // The FUSE control socket is opened *before* attaching (§3.2.1).
-  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *session->cntr_proc_));
+  session->server_threads_ = opts.server_threads;
+  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *session->cntr_proc_,
+                                                            opts.fuse, opts.server_threads));
   session->conn_ = fuse_dev.second;
 
   // --- Step 2: launch the CntrFS server (§3.2.2). ---
@@ -84,8 +86,6 @@ StatusOr<std::unique_ptr<AttachedSession>> Cntr::AttachPid(kernel::Pid pid, Atta
         fuse::FuseServerPoolOptions::Dedicated(opts.server_threads, &kernel_->metrics()));
     session->server_pool_ = session->own_pool_.get();
   }
-  session->num_channels_ = opts.fuse.ChannelCount(opts.server_threads);
-  session->conn_->ConfigureChannels(session->num_channels_);
   session->pool_mount_id_ = session->server_pool_->AddMount(
       session->conn_, session->cntrfs_.get(), opts.pool_weight, opts.pool_admission_budget);
   // Quarantine auto-revival runs the same transport rebuild the manual path
@@ -213,8 +213,8 @@ Status AttachedSession::Reconnect() {
   // Hand the fresh connection to the pool first: AdoptConn serves it from
   // that instant, which the INIT replay below requires. This same body runs
   // as the pool's quarantine reconnect hook.
-  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *cntr_proc_));
-  fuse_dev.second->ConfigureChannels(num_channels_);
+  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel_, *cntr_proc_,
+                                                            fuse_fs_->options(), server_threads_));
   CNTR_RETURN_IF_ERROR(server_pool_->AdoptConn(pool_mount_id_, fuse_dev.second));
   conn_ = fuse_dev.second;
   return fuse_fs_->Reconnect(conn_);

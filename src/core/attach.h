@@ -31,8 +31,8 @@
 namespace cntr::core {
 
 struct AttachOptions {
-  // fuse.num_channels sets the mount's channel count (0 = one per server
-  // thread), whichever pool serves it.
+  // fuse.num_channels and fuse.ring_depth set the connection's shape (0
+  // channels = one per server thread), whichever pool serves it.
   fuse::FuseMountOptions fuse = fuse::FuseMountOptions::Optimized();
   // Paper §3.3: CNTRFS reads /dev/fuse from multiple threads. Without a
   // server_pool this many workers serve the mount from a pool of its own.
@@ -116,7 +116,7 @@ class AttachedSession {
   std::unique_ptr<Pty> pty_;
   std::unique_ptr<SocketProxy> socket_proxy_;
   std::thread shell_thread_;
-  size_t num_channels_ = 1;  // remembered for Reconnect's replacement conn
+  int server_threads_ = 1;  // Reconnect shapes its replacement conn with it
   bool detached_ = false;
 };
 

@@ -210,8 +210,7 @@ FuseConn::FuseConn(SimClock* clock, const CostModel* costs, size_t num_channels,
   req_metrics_ =
       std::make_unique<obs::RequestMetrics>(registry_, mount_label_, &OpcodeNameU32);
   std::lock_guard<analysis::CheckedMutex> lock(config_mu_);
-  InstallChannels(std::clamp<size_t>(num_channels, 1, kMaxChannels), kDefaultRingDepth,
-                  RingProfile::kPaper);
+  InstallChannels(std::clamp<size_t>(num_channels, 1, kMaxChannels), kDefaultRingDepth);
 }
 
 void FuseConn::RecordOutcome(FuseOpcode op, const obs::SpanPtr& span,
@@ -224,84 +223,49 @@ void FuseConn::RecordOutcome(FuseOpcode op, const obs::SpanPtr& span,
 
 FuseConn::~FuseConn() { StopSweeper(); }
 
-void FuseConn::InstallChannels(size_t n, size_t depth, RingProfile profile) {
+void FuseConn::InstallChannels(size_t n, size_t depth) {
   for (size_t i = 0; i < n; ++i) {
-    owned_channels_.push_back(std::make_unique<FuseChannel>(depth, profile));
+    owned_channels_.push_back(std::make_unique<FuseChannel>(depth));
     channel_table_[i].store(owned_channels_.back().get(), std::memory_order_release);
   }
   num_channels_.store(n, std::memory_order_release);
 }
 
-bool FuseConn::Quiet() const {
-  // Every queued or waiting request is counted in one of the two totals: a
-  // pending completion slot belongs to a SendAndWait still in flight.
-  return !aborted() && queued_total_.load() == 0 &&
-         in_flight_.load(std::memory_order_acquire) == 0;
-}
-
-size_t FuseConn::ConfigureRing(size_t depth, uint32_t spin_budget, RingProfile profile) {
-  if (depth == 0) {
-    return 0;  // keep the current rings
-  }
-  // Exclusive acquisition proves no submitter holds a ring about to be
-  // replaced (they hold reshape_mu_ shared from routing until their reply);
-  // try_lock keeps a busy connection from blocking the caller.
-  std::unique_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_, std::try_to_lock);
-  if (!reshape.owns_lock()) {
-    return 0;
-  }
+size_t FuseConn::ConfigureChannels(size_t requested, size_t requested_depth) {
+  const size_t n = std::clamp<size_t>(requested, 1, kMaxChannels);
+  // The MPMC ring and the slot mask need a power of two.
+  const size_t depth =
+      requested_depth == 0
+          ? kDefaultRingDepth
+          : std::bit_ceil(std::clamp(requested_depth, kMinRingDepth, kMaxRingDepth));
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
-  if (ring_profile() == RingProfile::kRing) {
-    return ring_depth();  // the negotiated ring sticks for the connection's life
+  uint32_t open = kShapeOpen;
+  if ((n == num_channels() && depth == ring_depth()) || aborted() ||
+      !shape_.compare_exchange_strong(open, kShapeConfiguring, std::memory_order_acq_rel)) {
+    return num_channels();  // already this shape, or the first request froze it
   }
-  if (!Quiet()) {
-    return 0;
-  }
-  // Round up to a power of two (the MPMC ring and the slot mask need it).
-  const size_t d = std::clamp(depth, kMinRingDepth, kMaxRingDepth);
-  size_t pow2 = kMinRingDepth;
-  while (pow2 < d) {
-    pow2 <<= 1;
-  }
-  ring_spin_budget_.store(std::max<uint32_t>(spin_budget, 1), std::memory_order_release);
-  // Retired channels keep their old rings: nothing routes to them.
-  for (size_t i = 0; i < num_channels(); ++i) {
-    Channel(i).InstallRing(pow2, profile);
-  }
+  InstallChannels(n, depth);
   RecomputeSpinBudget();
-  return pow2;
+  shape_.store(kShapeOpen, std::memory_order_release);
+  return num_channels();
 }
 
-size_t FuseConn::ConfigureChannels(size_t requested) {
-  size_t n = std::clamp<size_t>(requested, 1, kMaxChannels);
-  // Exclusive acquisition proves no submitter is inside its route-to-wait
-  // window (they hold reshape_mu_ shared for the whole send); try_lock keeps
-  // the caller non-blocking — a busy connection just keeps its shape.
-  std::unique_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_, std::try_to_lock);
-  if (!reshape.owns_lock()) {
-    return num_channels();
-  }
-  std::lock_guard<analysis::CheckedMutex> config(config_mu_);
-  // Queued uniques bake their channel index in, so traffic pins the shape.
-  if (n == num_channels() || !Quiet()) {
-    return num_channels();
-  }
-  size_t lane_cap = 0;
-  for (const auto& ch : owned_channels_) {
-    lane_cap = std::max(lane_cap, ch->lanes.capacity());
-  }
-  const RingState& ring = Channel(0).ring();
-  InstallChannels(n, ring.depth, ring.profile);
-  // Fresh channels are born at the construction-time lane default; carry the
-  // negotiated (or autosized) capacity over so a reshape never shrinks the
-  // payload window behind the mount's back.
-  if (lane_cap > kDefaultLanePages * kernel::kPageSize) {
-    for (size_t i = owned_channels_.size() - n; i < owned_channels_.size(); ++i) {
-      (void)owned_channels_[i]->lanes.Resize(lane_cap);
+void FuseConn::FreezeShape() {
+  uint32_t s = shape_.load(std::memory_order_acquire);
+  while (s != kShapeFrozen) {
+    if (s == kShapeConfiguring) {
+      std::this_thread::yield();  // a pre-serve ConfigureChannels is installing
+      s = shape_.load(std::memory_order_acquire);
+    } else {
+      shape_.compare_exchange_weak(s, kShapeFrozen, std::memory_order_acq_rel);
     }
   }
+}
+
+void FuseConn::UseRingProfile(uint32_t spin_budget) {
+  ring_spin_budget_.store(std::max<uint32_t>(spin_budget, 1), std::memory_order_release);
   RecomputeSpinBudget();
-  return num_channels();
+  profile_.store(RingProfile::kRing, std::memory_order_release);
 }
 
 size_t FuseConn::RouteChannel(kernel::Pid pid) const {
@@ -421,40 +385,38 @@ bool FuseConn::MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes) {
   return true;
 }
 
-void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
-  bool splice_on = ch.splice_enabled.load(std::memory_order_acquire);
-  if (!splice_on) {
-    // Per-channel opt-out covers both directions: no spliced reply either.
-    request.splice_ok = false;
+std::optional<uint32_t> FuseConn::ClaimLane(FuseChannel& ch, LaneLedger::Dir dir,
+                                            uint64_t bytes) {
+  if (faults_ != nullptr) {
+    if (auto hit = faults_->Check(kFaultLaneTransit)) {
+      // An unusable lane is not fatal to the payload — it takes the copy
+      // path whole, which is exactly the fallback contract.
+      clock_->Advance(hit.latency_ns);
+      return std::nullopt;
+    }
   }
+  auto lane = ch.lanes.Claim(dir, bytes);
+  if (!lane.has_value() && MaybeGrowLanes(ch, bytes)) {
+    lane = ch.lanes.Claim(dir, bytes);
+  }
+  return lane;
+}
+
+void FuseConn::GateRequestPayload(FuseChannel& ch, FuseRequest& request) {
   if (!request.spliced || request.payload_pages.empty()) {
     return;
   }
   const uint64_t bytes = PayloadBytes(request.payload_pages);
-  if (faults_ != nullptr && splice_on) {
-    if (auto hit = faults_->Check(kFaultLaneTransit)) {
-      // An unusable lane is not fatal to the request — the payload takes
-      // the copy path whole, which is exactly the fallback contract.
-      clock_->Advance(hit.latency_ns);
-      splice_on = false;
-    }
+  // All-or-nothing per lane: the payload occupies lane capacity until the
+  // server consumes the request (ReleaseRequestLane at reap), which is the
+  // backpressure a real pipe applies to concurrent spliced writers.
+  if (auto lane = ClaimLane(ch, LaneLedger::kIn, bytes)) {
+    request.lane_idx = *lane;
+    spliced_bytes_->Add(bytes);
+    return;
   }
-  if (splice_on) {
-    // All-or-nothing per lane: the payload occupies lane capacity until the
-    // server consumes the request (ReleaseRequestLane at reap), which is the
-    // backpressure a real pipe applies to concurrent spliced writers.
-    auto lane = ch.lanes.Claim(LaneLedger::kIn, bytes);
-    if (!lane.has_value() && MaybeGrowLanes(ch, bytes)) {
-      lane = ch.lanes.Claim(LaneLedger::kIn, bytes);
-    }
-    if (lane.has_value()) {
-      request.lane_idx = *lane;
-      spliced_bytes_->Add(bytes);
-      return;
-    }
-  }
-  // Lane full or channel opted out: flatten to the copy path — the payload
-  // is copied through userspace buffers again, one page at a time.
+  // Lane full or faulted: flatten to the copy path — the payload is copied
+  // through userspace buffers again, one page at a time.
   FlattenPages(request.payload_pages, request.data, clock_, costs_);
   request.spliced = false;
   copied_bytes_->Add(bytes);
@@ -472,25 +434,12 @@ void FuseConn::GateReplyPayload(FuseChannel& ch, FuseReply& reply) {
   if (reply.pages.empty()) {
     return;
   }
-  uint64_t bytes = reply.payload_bytes();
-  bool splice_on = ch.splice_enabled.load(std::memory_order_acquire);
-  if (faults_ != nullptr && splice_on) {
-    if (auto hit = faults_->Check(kFaultLaneTransit)) {
-      clock_->Advance(hit.latency_ns);
-      splice_on = false;
-    }
-  }
-  if (splice_on) {
-    auto lane = ch.lanes.Claim(LaneLedger::kOut, bytes);
-    if (!lane.has_value() && MaybeGrowLanes(ch, bytes)) {
-      lane = ch.lanes.Claim(LaneLedger::kOut, bytes);
-    }
-    if (lane.has_value()) {
-      reply.spliced = true;
-      reply.lane_idx = *lane;
-      spliced_bytes_->Add(bytes);
-      return;
-    }
+  const uint64_t bytes = reply.payload_bytes();
+  if (auto lane = ClaimLane(ch, LaneLedger::kOut, bytes)) {
+    reply.spliced = true;
+    reply.lane_idx = *lane;
+    spliced_bytes_->Add(bytes);
+    return;
   }
   // Copy fallback: the server write()s the payload into the reply buffer.
   FlattenPages(reply.pages, reply.data, clock_, costs_);
@@ -641,37 +590,18 @@ StatusOr<FuseReply> FuseConn::SendAndWait(FuseRequest request) {
     }
   }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-
-  // Route-to-wait window: held shared so a live reshape (ConfigureChannels)
-  // or a ring replacement (ConfigureRing) can never swap the channel set or
-  // the ring while this request's channel index and slot are in hand (the
-  // unique bakes both in; a torn view would strand the reply).
-  std::shared_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_);
-  size_t ch_idx = RouteChannel(request.pid);
-  FuseChannel& ch = Channel(ch_idx);
-  RingState& ring = ch.ring();
-  RingPostActions post;
-  StatusOr<FuseReply> result = RingSendAndWait(ch, ring, ch_idx, std::move(request), &post);
-  // Wakeups and connection teardown are delivered after the reshape window
-  // closes: notifying sq_cv (or sweeping every channel's waiters in Abort)
-  // while still pinning the channel topology is the reshape_mu_ <-> cv wait
-  // cycle lockdep flags. The ring outlives the unlock — channels and their
-  // rings stay owned until the connection dies.
-  reshape.unlock();
-  if (post.wake_submitters) {
-    RingWakeSubmitters(ring);
-  }
-  if (post.abort_conn) {
-    Abort();
-  }
-  return result;
+  // The unique bakes the channel index and slot in, so the shape is fixed
+  // from here on.
+  FreezeShape();
+  const size_t ch_idx = RouteChannel(request.pid);
+  return RingSendAndWait(Channel(ch_idx), ch_idx, std::move(request));
 }
 
 void FuseConn::SendNoReply(FuseRequest request) {
-  std::shared_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_);
-  size_t ch_idx = RouteChannel(request.pid);
+  FreezeShape();
+  const size_t ch_idx = RouteChannel(request.pid);
   FuseChannel& ch = Channel(ch_idx);
-  RingState& ring = ch.ring();
+  RingState& ring = ch.ring;
   const FuseOpcode op = request.opcode;
   request.unique = 0;  // no reply expected
   request.channel = static_cast<uint32_t>(ch_idx);
@@ -683,9 +613,9 @@ void FuseConn::SendNoReply(FuseRequest request) {
   // it at a moment set by thread scheduling. Nothing reads this lane.
   request.lane = std::make_shared<SimClock::Lane>();
   // One SQE fill: no completion slot, no waiting, no doorbell.
-  clock_->Advance(ring.paper() ? costs_->fuse_round_trip_ns / 2 : costs_->fuse_ring_sqe_ns);
+  clock_->Advance(paper() ? costs_->fuse_round_trip_ns / 2 : costs_->fuse_ring_sqe_ns);
   ring.submitting.fetch_add(1, std::memory_order_seq_cst);
-  bool pushed = RingPushSqe(ch, ring, std::move(request));
+  bool pushed = RingPushSqe(ch, std::move(request));
   if (pushed) {
     forgets_->Add();
   }
@@ -709,8 +639,7 @@ std::vector<FuseRequest> FuseConn::TryReadRequestBatch(size_t start_channel,
   // empty result means "nothing queued right now" and the pool's scheduler
   // decides what to do with that.
   for (size_t i = 0; i < n && batch.size() < max_batch; ++i) {
-    FuseChannel& ch = Channel((start + i) % n);
-    RingReap(ch, ch.ring(), batch, max_batch - batch.size());
+    RingReap(Channel((start + i) % n), batch, max_batch - batch.size());
   }
   return batch;
 }
@@ -730,7 +659,7 @@ void FuseConn::WriteReply(uint64_t unique, FuseReply reply) {
     }
   }
   FuseChannel& ch = ChannelOfUnique(unique);
-  RingState& ring = ch.ring();
+  RingState& ring = ch.ring;
   // The channel stays occupied through the server-side handling (the worker
   // runs on the caller's lane, so NowNs here includes the service time).
   BumpBusyUntil(ch, clock_->NowNs());
@@ -772,7 +701,7 @@ void FuseConn::WriteReply(uint64_t unique, FuseReply reply) {
     // CQE publish. Out-of-order by construction: each reply lands in its own
     // slot, whichever worker finishes first.
     GateReplyPayload(ch, reply);
-    if (!ring.paper()) {
+    if (!paper()) {
       clock_->Advance(costs_->fuse_ring_cqe_ns);
     }
     slot.reply = std::move(reply);
@@ -859,7 +788,8 @@ int FuseConn::RingAllocSlot(RingState& ring) {
   return -1;
 }
 
-bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request) {
+bool FuseConn::RingPushSqe(FuseChannel& ch, FuseRequest request) {
+  RingState& ring = ch.ring;
   bool overflowed = false;
   // Deterministic doorbell rule: under the ring profile every reply-carrying
   // SQE pays the doorbell; fire-and-forget entries (FORGETs, interrupt
@@ -867,7 +797,7 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
   // trip already includes the wakeup. Charging by *actual* SQ occupancy
   // would make virtual time depend on real-time worker scheduling (whether
   // the previous entry was already reaped), breaking run-to-run determinism.
-  const bool rings_doorbell = request.unique != 0 && !ring.paper();
+  bool doorbell_due = request.unique != 0 && !paper();
   for (;;) {
     if (aborted()) {
       // Never published, so no reap or abort sweep will release the lane
@@ -875,6 +805,12 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       // cleared the lanes).
       ReleaseRequestLane(ch, request);
       return false;
+    }
+    // Charged before the entry is published: a worker that reaps it at once
+    // stamps reap_ns from the submitter's timeline and must see the charge.
+    if (doorbell_due) {
+      clock_->Advance(costs_->fuse_ring_doorbell_ns);
+      doorbell_due = false;
     }
     bool was_empty = ring.sq.SizeApprox() == 0;
     // Count the entry before publishing it, so a reaper's decrement can
@@ -890,9 +826,6 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       if (was_empty) {
         // Burst head (stats only: this is a real-time observation).
         ch.doorbells.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (rings_doorbell) {
-        clock_->Advance(costs_->fuse_ring_doorbell_ns);
       }
       bool lost = false;
       if (faults_ != nullptr) {
@@ -951,14 +884,15 @@ bool FuseConn::RingClaimSqe(RingState& ring, const FuseRequest& req) {
   }
 }
 
-size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
-                          std::vector<FuseRequest>& out, size_t max_batch) {
+size_t FuseConn::RingReap(FuseChannel& ch, std::vector<FuseRequest>& out,
+                          size_t max_batch) {
+  RingState& ring = ch.ring;
   if (ring.sq.SizeApprox() == 0) {
     return 0;
   }
   // The profile caps the burst: the paper's server thread takes one request
   // per read of /dev/fuse.
-  if (ring.paper()) {
+  if (paper()) {
     max_batch = std::min<size_t>(max_batch, 1);
   }
   if (faults_ != nullptr) {
@@ -1003,9 +937,9 @@ size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
   return delivered;
 }
 
-StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
-                                              size_t ch_idx, FuseRequest request,
-                                              RingPostActions* post) {
+StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, size_t ch_idx,
+                                              FuseRequest request) {
+  RingState& ring = ch.ring;
   const FuseOpcode op = request.opcode;
   // Injected SQ overflow: surfaces to the submitter as a full-ring
   // submission failure.
@@ -1015,7 +949,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
       ch.sq_overflows.fetch_add(1, std::memory_order_relaxed);
       FinishInFlight();
       if (hit.action == fault::FaultAction::kKill) {
-        post->abort_conn = true;
+        Abort();
         RecordOutcome(op, nullptr, obs::Outcome::kAbort, false);
         return Status::Error(ENOTCONN, "fuse connection aborted");
       }
@@ -1072,7 +1006,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   // channel, which is the whole point of cloning the queue. Ring producers
   // and the reaping consumer never contend on a queue lock.
   uint64_t fill_ns = costs_->fuse_ring_sqe_ns;
-  if (ring.paper()) {
+  if (paper()) {
     fill_ns = costs_->fuse_round_trip_ns;
     const uint32_t readers = ChannelReaders(ch_idx);
     if (readers > 1) {
@@ -1109,7 +1043,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   // Submit. The submitting window is refcounted so Abort can wait out
   // in-progress pushes before draining the SQ.
   ring.submitting.fetch_add(1, std::memory_order_seq_cst);
-  bool pushed = RingPushSqe(ch, ring, std::move(request));
+  bool pushed = RingPushSqe(ch, std::move(request));
   ring.submitting.fetch_sub(1, std::memory_order_seq_cst);
 
   // Wait. The ring profile spin-polls its own completion slot first, on the
@@ -1118,8 +1052,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   // arrive yet). The paper profile parks at once, as the wakeup handshake's
   // waiter sleeps.
   const uint32_t spin_budget =
-      ring.paper() ? 0
-                   : std::max<uint32_t>(1, effective_spin_budget_.load(std::memory_order_acquire));
+      paper() ? 0 : std::max<uint32_t>(1, effective_spin_budget_.load(std::memory_order_acquire));
   uint32_t spins = 0;
   uint64_t terminal = 0;
   for (;;) {
@@ -1136,7 +1069,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
       if (SlotGen(ctrl) == gen && state == kSlotPending) {
         if (slot.ctrl.compare_exchange_weak(ctrl, SlotCtrl(gen + 1, kSlotFree),
                                             std::memory_order_acq_rel)) {
-          post->wake_submitters = true;
+          RingWakeSubmitters(ring);
           FinishInFlight();
           RecordOutcome(op, span, obs::Outcome::kAbort, req_spliced);
           return Status::Error(ENOTCONN, "fuse connection aborted");
@@ -1180,7 +1113,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
     slot.reply = FuseReply{};
   }
   slot.ctrl.store(SlotCtrl(gen + 1, kSlotFree), std::memory_order_release);
-  post->wake_submitters = true;
+  RingWakeSubmitters(ring);
   FinishInFlight();
   if (terminal == kSlotTimedOut) {
     // Model the wait the caller actually endured: the request ran out its
@@ -1194,7 +1127,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
     uint32_t misses = consecutive_timeouts_.fetch_add(1, std::memory_order_acq_rel) + 1;
     uint32_t abort_after = abort_after_timeouts_.load(std::memory_order_acquire);
     if (abort_after != 0 && misses >= abort_after && !aborted()) {
-      post->abort_conn = true;
+      Abort();
     }
     RecordOutcome(op, span, obs::Outcome::kTimeout, req_spliced);
     return Status::Error(ETIMEDOUT, "fuse request deadline expired");
@@ -1220,13 +1153,11 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
 
 void FuseConn::Abort() {
   aborted_.store(true, std::memory_order_release);
-  // Sweep every channel ever created (including any retired by a reshape):
-  // a waiter parked on a stale channel must still wake with ENOTCONN. Rings
-  // a channel retired were quiet when replaced, so only the live one needs
-  // draining.
+  // Sweep every channel ever created; the ones a pre-serve ConfigureChannels
+  // replaced never carried a request, so this drains nothing there.
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   for (auto& ch : owned_channels_) {
-    RingState& ring = ch->ring();
+    RingState& ring = ch->ring;
     // Wait out in-progress submitters (they observe aborted_ within one
     // bounded park), then drain the SQ so ring-in-flight entries go to
     // zero; waiters reclaim their own Pending slots once woken.
@@ -1300,7 +1231,7 @@ void FuseConn::SweeperLoop() {
     {
       std::lock_guard<analysis::CheckedMutex> config(config_mu_);
       for (auto& ch : owned_channels_) {
-        RingState& ring = ch->ring();
+        RingState& ring = ch->ring;
         bool expired_any = false;
         for (RingSlot& slot : ring.slots) {
           uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
@@ -1350,7 +1281,7 @@ void FuseConn::StopSweeper() {
 bool FuseConn::Interrupt(uint64_t unique) {
   FuseChannel& ch = ChannelOfUnique(unique);
   size_t ch_idx = unique & (kMaxChannels - 1);
-  RingState& ring = ch.ring();
+  RingState& ring = ch.ring;
   RingSlot& slot = ring.slots[SlotOfUnique(unique) % ring.depth];
   bool claimed = false;
   std::optional<uint64_t> resolved;
@@ -1391,7 +1322,7 @@ uint32_t FuseConn::InterruptPid(kernel::Pid pid) {
   uint32_t count = 0;
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   for (auto& ch : owned_channels_) {
-    RingState& ring = ch->ring();
+    RingState& ring = ch->ring;
     // Scan the completion slots for this pid's in-flight requests and
     // resolve each the same way Interrupt would (the slot claim doubles as
     // the unique lookup — there is no pending map).
@@ -1432,7 +1363,7 @@ void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t u
   notify.interrupt_unique = unique;
   notify.channel = static_cast<uint32_t>(ch_idx);
   notify.lane = std::make_shared<SimClock::Lane>();  // see SendNoReply
-  RingState& ring = ch.ring();
+  RingState& ring = ch.ring;
   // Best effort: a notification that finds the ring full is dropped — the
   // waiter is already unblocked either way. Counted before it is published,
   // like every SQE (see RingPushSqe).

@@ -37,16 +37,23 @@
 //
 // The default is one channel — the paper's configuration.
 //
+// A connection's shape is its channel count and its ring depth. Like the
+// clones Linux sets up before a mount is served, the shape is fixed before
+// the first request (ConfigureChannels); from then on every channel keeps
+// its one ring for the connection's life, so the request path takes no lock
+// to route, submit or wait.
+//
 // One request path (the FUSE-over-io_uring lineage): submissions ride a
 // lock-free SQ the server reaps, completions land in per-request slots the
 // waiter polls, and a wakeup per direction is only delivered when the far
-// side is actually parked. What a trip costs is the ring's cost profile
-// (RingProfile in fuse_ring.h). A fresh connection, its INIT exchange, and
-// every mount that does not negotiate kFuseRingSubmission run the paper's
-// wakeup handshake as the kPaper profile — a full round trip plus the
-// Figure 4 contention premium per request, single-request reaps, waiters
-// that park at once. A mount that negotiates the bit switches to kRing:
-// cheap SQE/CQE fills plus a doorbell, burst reaps, spin-then-park waiters.
+// side is actually parked. What a trip costs is the connection's cost
+// profile (RingProfile in fuse_ring.h). A fresh connection, its INIT
+// exchange, and every mount that does not negotiate kFuseRingSubmission run
+// the paper's wakeup handshake as the kPaper profile — a full round trip
+// plus the Figure 4 contention premium per request, single-request reaps,
+// waiters that park at once. A mount that negotiates the bit switches to
+// kRing on the same rings: cheap SQE/CQE fills plus a doorbell, burst reaps,
+// spin-then-park waiters.
 #ifndef CNTR_SRC_FUSE_FUSE_CONN_H_
 #define CNTR_SRC_FUSE_FUSE_CONN_H_
 
@@ -59,7 +66,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -129,17 +135,10 @@ class LaneLedger {
 // its splice lanes, plus the channel's occupancy, routing and batch
 // counters. Padded so neighbouring channels do not false-share.
 struct alignas(64) FuseChannel {
-  FuseChannel(size_t ring_depth, RingProfile profile) { InstallRing(ring_depth, profile); }
+  explicit FuseChannel(size_t ring_depth) : ring(ring_depth) {}
 
-  // The live ring; never null.
-  RingState& ring() const { return *live_ring.load(std::memory_order_acquire); }
-  // Publishes a fresh ring (FuseConn's config_mu_ held). The rings it
-  // replaces stay allocated for the channel's lifetime, because a worker
-  // may still be scanning one.
-  void InstallRing(size_t depth, RingProfile profile) {
-    rings.push_back(std::make_unique<RingState>(depth, profile));
-    live_ring.store(rings.back().get(), std::memory_order_release);
-  }
+  // The channel's only ring, built with it and kept for its life.
+  RingState ring;
 
   // Virtual-time occupancy: the instant this channel finishes its current
   // backlog. Only observable across parallel SimClock lanes. Updated
@@ -147,30 +146,22 @@ struct alignas(64) FuseChannel {
   std::atomic<uint64_t> busy_until_ns{0};
   // Requests ever enqueued here (routing visibility for tests/stats).
   std::atomic<uint64_t> enqueued{0};
-  // Deepest the queue has ever been (observability groundwork for
-  // channel-count autotuning: a persistently deep channel wants a clone).
+  // Deepest the queue has ever been (a persistently deep channel says the
+  // mount wants more channels: FuseMountOptions::num_channels).
   std::atomic<uint64_t> max_depth{0};
   // Copy-path fallbacks since the lanes last grew (autosizing pressure).
   std::atomic<uint32_t> fallback_pressure{0};
 
-  // Zero-copy data lanes (see LaneLedger) and the per-channel splice
-  // opt-out: a channel with splice disabled strips splice_ok / flattens
-  // payloads, so one misbehaving client process can be pinned to the copy
-  // path without renegotiating the whole connection.
+  // Zero-copy data lanes (see LaneLedger).
   LaneLedger lanes;
-  std::atomic<bool> splice_enabled{true};
 
-  // Batch-efficiency counters, kept here so a ring replacement does not
-  // reset them (FuseConn::Stats rolls them up).
+  // Batch-efficiency counters (FuseConn::Stats rolls them up).
   std::atomic<uint64_t> doorbells{0};
   std::atomic<uint64_t> reaps{0};
   std::atomic<uint64_t> reaped_requests{0};
   std::atomic<uint64_t> max_reqs_per_reap{0};
   std::atomic<uint64_t> sq_overflows{0};
   std::atomic<uint64_t> spin_parks{0};
-
-  std::vector<std::unique_ptr<RingState>> rings;
-  std::atomic<RingState*> live_ring{nullptr};
 };
 
 class FuseConn {
@@ -191,34 +182,29 @@ class FuseConn {
            obs::MetricsRegistry* metrics = nullptr);
   ~FuseConn();
 
-  // Reshapes the channel set (FUSE_DEV_IOC_CLONE analogue): attach and
-  // reconnect size a fresh connection with it, and the pool's autoscaler
-  // reshapes a live one. Only fires on a *quiet* instant: nothing queued,
-  // nothing in flight, not aborted, and no submitter inside its routing
-  // window (the submit paths hold reshape_mu_ shared across route+wait, so
-  // a successful exclusive try-lock here proves no sender holds a channel
-  // index about to go stale). New channels inherit the widest lane
-  // capacity above the default. Non-blocking: returns the resulting channel
-  // count, unchanged when the connection is busy.
-  size_t ConfigureChannels(size_t requested);
+  // Sets the connection's shape (the FUSE_DEV_IOC_CLONE analogue): builds
+  // `requested` channels (clamped to [1, kMaxChannels]), each with one ring
+  // of `ring_depth` entries for the connection's life. The depth rounds up
+  // to a power of two in [kMinRingDepth, kMaxRingDepth] (0 =
+  // kDefaultRingDepth) and is also the per-channel in-flight ceiling.
+  // The opener calls it before the connection is served (OpenFuseDevice
+  // with mount options); a fresh connection has one channel of
+  // kDefaultRingDepth. Refused once the connection has carried a request —
+  // a queued request's unique names its channel and slot, and sticky
+  // routing keeps one process's FORGETs behind its LOOKUPs — or has been
+  // aborted. Returns the resulting channel count.
+  size_t ConfigureChannels(size_t requested, size_t ring_depth = kDefaultRingDepth);
   size_t num_channels() const { return num_channels_.load(std::memory_order_acquire); }
+  size_t ring_depth() const { return Channel(0).ring.depth; }
 
-  // Settles the rings once INIT has: gives every channel a fresh ring of
-  // `depth` entries running `profile` (kRing when the mount negotiated
-  // kFuseRingSubmission, kPaper otherwise). A fresh connection runs kPaper
-  // on kDefaultRingDepth-entry rings. Only honoured on a quiet connection —
-  // nothing queued or in flight, not aborted; readers may already be parked
-  // (they pick the new rings up on their next scan). The negotiated ring
-  // profile sticks: once a connection runs kRing, further calls change
-  // nothing. `depth` is rounded up to a power of two in [kMinRingDepth,
-  // kMaxRingDepth] and is also the per-channel in-flight ceiling;
-  // `spin_budget` is the iterations a kRing waiter spin-polls before
-  // parking. Returns the effective depth, or 0 when refused (depth 0 keeps
-  // the current rings).
-  size_t ConfigureRing(size_t depth, uint32_t spin_budget = kDefaultRingSpinBudget,
-                       RingProfile profile = RingProfile::kRing);
-  RingProfile ring_profile() const { return Channel(0).ring().profile; }
-  size_t ring_depth() const { return Channel(0).ring().depth; }
+  // Switches the cost profile from kPaper to kRing on the existing rings,
+  // once INIT has negotiated kFuseRingSubmission. One-way: the connection
+  // stays on kRing for good. `spin_budget` is the iterations a kRing waiter
+  // spin-polls before parking; it is stored before the profile, so a
+  // waiter that sees kRing sees its budget. A request in flight across the
+  // switch may be priced partly under each profile.
+  void UseRingProfile(uint32_t spin_budget = kDefaultRingSpinBudget);
+  RingProfile ring_profile() const { return profile_.load(std::memory_order_acquire); }
 
   // Sticky routing: which channel requests from `pid` land on.
   size_t RouteChannel(kernel::Pid pid) const;
@@ -301,8 +287,9 @@ class FuseConn {
 
   // Requests currently queued across every channel (SQ occupancy) — the
   // pool's overload-watermark signal. An SQE is counted before it is
-  // published, so a concurrent reap can never drive this below zero; it may
-  // overshoot the SQ occupancy by one per submitter mid-push.
+  // published and uncounted only after it is popped, so a concurrent reap
+  // can never drive this below zero; it may overshoot the SQ occupancy by
+  // one per submitter mid-push plus one per reaper mid-pop.
   uint64_t queued_depth() const { return queued_total_.load(std::memory_order_relaxed); }
 
   // --- shared-pool integration ---
@@ -316,7 +303,7 @@ class FuseConn {
   // pool's worker count). It prices the Figure 4 premium: worker i is homed
   // on channel i % num_channels(), so channel c has the workers homed on it
   // as its readers (ChannelReaders). When the declared parallelism is below
-  // the live channel count the ring spin budget also backs off
+  // the channel count the ring spin budget also backs off
   // proportionally: an oversubscribed pool cannot be polling every channel
   // at once, so waiters spinning the full budget before parking would burn
   // cycles the server can never answer within. 0 = unknown (no premium, no
@@ -364,8 +351,8 @@ class FuseConn {
   // Resizes every channel's lanes (the fcntl(F_SETPIPE_SZ) analogue). The
   // mount applies it with the capacity the negotiated payload window needs
   // (pipe_pages is only the floor). Returns the resulting per-lane capacity
-  // in bytes. Reshape-safe on quiet lanes; a lane holding in-flight payload
-  // larger than the target reports EBUSY.
+  // in bytes; a lane holding in-flight payload larger than the target
+  // reports EBUSY.
   StatusOr<size_t> SetLaneCapacity(size_t bytes);
   // Lane autosizing: when on, a payload that bounces to the copy path grows
   // the affected channel's lanes — immediately to fit a payload larger than
@@ -379,18 +366,13 @@ class FuseConn {
   // Current capacity of channel `i`'s lanes in bytes (every lane of the
   // pool, both directions, has the same size).
   size_t lane_capacity(size_t i) const { return Channel(i).lanes.capacity(); }
-  // Per-channel splice opt-out: a disabled channel carries every payload on
-  // the copy path (splice_ok stripped, spliced writes flattened).
-  void SetChannelSplice(size_t i, bool enabled) {
-    Channel(i).splice_enabled.store(enabled, std::memory_order_release);
-  }
 
   // Requests ever routed to channel `i`.
   uint64_t channel_requests(size_t i) const {
     return Channel(i).enqueued.load(std::memory_order_relaxed);
   }
   // Current depth of channel `i`'s queue (SQ occupancy).
-  size_t channel_queue_depth(size_t i) const { return Channel(i).ring().sq.SizeApprox(); }
+  size_t channel_queue_depth(size_t i) const { return Channel(i).ring.sq.SizeApprox(); }
   // Deepest channel `i`'s queue has ever been.
   uint64_t channel_max_queue_depth(size_t i) const {
     return Channel(i).max_depth.load(std::memory_order_relaxed);
@@ -407,13 +389,12 @@ class FuseConn {
     uint64_t forgets = 0;
     // Data-lane accounting: payload bytes that rode a pipe lane as page
     // references vs. bytes that fell back to the copy path (lane full,
-    // channel opted out, or splice not negotiated).
+    // lane fault, or splice not negotiated).
     uint64_t spliced_bytes = 0;
     uint64_t copied_bytes = 0;
     uint64_t splice_fallbacks = 0;  // payloads that wanted the lane but copied
     uint64_t lane_growths = 0;      // autosizing grow operations that succeeded
-    // Queue-depth observability (channel-count autotuning groundwork):
-    // deepest any channel's queue has ever been.
+    // Queue-depth observability: deepest any channel's queue has ever been.
     uint64_t max_queue_depth = 0;
     // Failure-plane accounting.
     uint64_t timeouts = 0;         // requests expired by a deadline
@@ -433,9 +414,8 @@ class FuseConn {
   };
   // Safe to call while workers run: every source is an explicit atomic
   // load taken exactly once into the snapshot (no plain reads of fields a
-  // worker may be writing), and the channel count is pinned up front so
-  // the per-channel walk cannot race a reshape into mixing old and new
-  // channel sets. The snapshot is internally consistent per counter;
+  // worker may be writing). The snapshot is internally consistent per
+  // counter;
   // cross-counter skew (a request counted whose reply lands mid-walk) is
   // inherent to lock-free aggregation and bounded by one in-flight window.
   Stats stats() const {
@@ -492,8 +472,12 @@ class FuseConn {
                                cur, now_ns, std::memory_order_relaxed)) {
     }
   }
+  // Claims `bytes` on one of `ch`'s lanes of `dir`, growing the lanes once
+  // under autosizing; nullopt sends the payload to the copy path (lanes
+  // full, or a fuse.lane.transit fault).
+  std::optional<uint32_t> ClaimLane(FuseChannel& ch, LaneLedger::Dir dir, uint64_t bytes);
   // Request-direction gate: lets a spliced WRITE payload onto lane_in, or
-  // flattens it to the copy path (lane full / channel opted out).
+  // flattens it to the copy path.
   void GateRequestPayload(FuseChannel& ch, FuseRequest& request);
   // Releases the lane_in capacity a spliced request payload has held since
   // GateRequestPayload (no-op for copy-path requests).
@@ -505,13 +489,13 @@ class FuseConn {
   // `wanted_bytes` just bounced to the copy path). Returns true if the
   // lanes grew, meaning a retry of the claim may now succeed.
   bool MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes);
-  // Appends `n` fresh channels (rings of `depth` entries running `profile`)
-  // to owned_channels_ and publishes them through the table (config_mu_
-  // held).
-  void InstallChannels(size_t n, size_t depth, RingProfile profile);
-  // Nothing queued, nothing in flight, not aborted: the connection may be
-  // reshaped or have its rings replaced.
-  bool Quiet() const;
+  // Appends `n` fresh channels (rings of `depth` entries) to
+  // owned_channels_ and publishes them through the table (config_mu_ held).
+  void InstallChannels(size_t n, size_t depth);
+  // Freezes the shape before a submitter routes its first request; waits
+  // out a ConfigureChannels that is installing channels.
+  void FreezeShape();
+  bool paper() const { return ring_profile() == RingProfile::kPaper; }
   // Real-time deadline sweeper body (one background thread while armed).
   void SweeperLoop();
   void StopSweeper();
@@ -521,7 +505,7 @@ class FuseConn {
   // The tighter of max_background_ and admission_budget_ (0 = ungated).
   uint32_t EffectiveAdmissionCap() const;
   // Re-derives effective_spin_budget_ from the configured budget, the
-  // declared server parallelism, and the live channel count.
+  // declared server parallelism, and the channel count.
   void RecomputeSpinBudget();
   // Fires the registered pool work observer, if armed (one relaxed load
   // when not): the doorbell of every enqueue and of Abort.
@@ -530,28 +514,17 @@ class FuseConn {
   void EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t unique);
 
   // --- ring internals (see docs/transport.md "Submission rings") ---
-  // Actions RingSendAndWait defers to its caller: both wake parked peers
-  // (or sweep every channel, for Abort), and neither may run while the
-  // caller still holds reshape_mu_ shared — submitters park on those very
-  // condvars holding reshape_mu_ shared, so notifying under it closes a
-  // wait cycle (flagged by lockdep).
-  struct RingPostActions {
-    bool wake_submitters = false;
-    bool abort_conn = false;
-  };
-  StatusOr<FuseReply> RingSendAndWait(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                                      FuseRequest request, RingPostActions* post);
+  StatusOr<FuseReply> RingSendAndWait(FuseChannel& ch, size_t ch_idx, FuseRequest request);
   // Claims a free completion slot (kSlotFree -> kSlotInit); -1 when none.
   int RingAllocSlot(RingState& ring);
   // Pushes one SQE, parking on a full ring (bounded waits; aborts bail out).
   // Returns false when the connection aborted before the push landed.
-  bool RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request);
+  bool RingPushSqe(FuseChannel& ch, FuseRequest request);
   // Drains up to `max_batch` SQ entries of `ch` into `out`, at most one
   // under the paper profile (the paper's server thread takes one request
   // per read of /dev/fuse). Returns how many were delivered
   // (resolved-before-claim entries are dropped in place).
-  size_t RingReap(FuseChannel& ch, RingState& ring, std::vector<FuseRequest>& out,
-                  size_t max_batch);
+  size_t RingReap(FuseChannel& ch, std::vector<FuseRequest>& out, size_t max_batch);
   // Marks a reaped SQE's slot as server-claimed; false when its waiter was
   // already resolved (interrupt/timeout/abort) and the entry must be dropped.
   bool RingClaimSqe(RingState& ring, const FuseRequest& req);
@@ -568,28 +541,31 @@ class FuseConn {
 
   // Channel publication: readers (routing, enqueue, dequeue, reply) index
   // the fixed-size atomic pointer table lock-free; ConfigureChannels
-  // installs new pointers and only then publishes the count. Every channel
-  // ever created stays in owned_channels_ until the connection dies (and
-  // every ring in its channel), so a reaper or replier still scanning a
-  // retired channel reads valid memory, and Abort sweeps every one of them.
+  // installs new pointers and only then publishes the count. Channels a
+  // pre-serve ConfigureChannels replaced stay in owned_channels_ until the
+  // connection dies, so a server worker that scanned one before the swap
+  // reads valid memory.
   std::array<std::atomic<FuseChannel*>, kMaxChannels> channel_table_{};
   std::atomic<size_t> num_channels_{1};
-  mutable analysis::CheckedMutex config_mu_{"fuse.conn.config"};  // serializes reshape and Abort's owned sweep
+  // Orders ConfigureChannels against the walks over owned_channels_
+  // (Abort's sweep, the deadline sweeper, SetLaneCapacity,
+  // lane_bytes_in_flight, InterruptPid — the kernel's exit hook runs that on
+  // every live connection, configured or not). Never on the request path.
+  mutable analysis::CheckedMutex config_mu_{"fuse.conn.config"};
   std::vector<std::unique_ptr<FuseChannel>> owned_channels_;
-  // Submitters hold this shared across their whole route+enqueue+wait
-  // window; ConfigureChannels and ConfigureRing try-lock it exclusive, so
-  // the channel set and the rings only change when no sender holds a
-  // channel index or a ring derived from the old ones. Abort never touches
-  // it (parked submitters still holding shared must stay wakeable).
-  mutable analysis::CheckedSharedMutex reshape_mu_{"fuse.conn.reshape"};
+  // Shape lifecycle: kShapeOpen until the first submitter freezes it;
+  // ConfigureChannels holds kShapeConfiguring while it installs channels.
+  enum ShapeState : uint32_t { kShapeOpen, kShapeConfiguring, kShapeFrozen };
+  std::atomic<uint32_t> shape_{kShapeOpen};
+  std::atomic<RingProfile> profile_{RingProfile::kPaper};
 
   // SQ entries across every channel (queued_depth()).
   std::atomic<uint64_t> queued_total_{0};
 
   // --- ring waits ---
   std::atomic<uint32_t> ring_spin_budget_{kDefaultRingSpinBudget};
-  // Spin budget after oversubscription backoff (satellite: pool threads <
-  // active channels must not burn the full configured spin before parking).
+  // Spin budget after oversubscription backoff (pool threads < channels
+  // must not burn the full configured spin before parking).
   std::atomic<uint32_t> declared_parallelism_{0};
   std::atomic<uint32_t> effective_spin_budget_{kDefaultRingSpinBudget};
 

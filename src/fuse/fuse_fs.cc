@@ -213,12 +213,10 @@ Status FuseFs::NegotiateInit() {
                     (opts_.writeback_cache ? kFuseWritebackCache : 0) |
                     (opts_.readdirplus ? kFuseDoReaddirplus : 0) |
                     (opts_.max_pages > 0 ? kFuseMaxPages : 0) |
-                    (opts_.ring_enabled && opts_.ring_depth > 0 ? kFuseRingSubmission
-                                                                : 0);
+                    (opts_.ring_enabled ? kFuseRingSubmission : 0);
   init.max_pages = std::min(opts_.max_pages, kFuseMaxMaxPages);
   // INIT itself always rides the fresh connection's paper profile: nothing
-  // is negotiated yet, and ConfigureRing below only replaces the rings of a
-  // quiet connection — i.e. after this reply has fully drained.
+  // is negotiated yet.
   CNTR_ASSIGN_OR_RETURN(FuseReply init_reply, conn_->SendAndWait(std::move(init)));
   readdirplus_enabled_ =
       opts_.readdirplus && (init_reply.init_flags & kFuseDoReaddirplus) != 0;
@@ -230,12 +228,13 @@ Status FuseFs::NegotiateInit() {
       opts_.splice_move && (init_reply.init_flags & kFuseSpliceMove) != 0;
 
   // Submission rings: both sides must speak them to switch the connection
-  // to the ring profile. Otherwise (the mount did not offer the bit, or an
-  // old server echoed the flags without it) it keeps the paper profile, on
-  // rings of the mount's depth.
-  const bool ring = opts_.ring_enabled && (init_reply.init_flags & kFuseRingSubmission) != 0;
-  conn_->ConfigureRing(opts_.ring_depth, opts_.ring_spin_budget,
-                       ring ? RingProfile::kRing : RingProfile::kPaper);
+  // to the ring profile, on the rings its opener built. Otherwise (the mount
+  // did not offer the bit, or an old server echoed the flags without it) it
+  // keeps the paper profile. Requests already in flight on the connection
+  // (a reconnect under traffic) do not hold the switch back.
+  if (opts_.ring_enabled && (init_reply.init_flags & kFuseRingSubmission) != 0) {
+    conn_->UseRingProfile(opts_.ring_spin_budget);
+  }
 
   // FUSE_MAX_PAGES: an old server echoes the flags without the bit (or
   // grants 0 pages) — fall back to the legacy 32-page / 128KiB windows.

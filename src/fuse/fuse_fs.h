@@ -101,8 +101,10 @@ struct FuseMountOptions {
   // Cloned /dev/fuse request queues (FUSE_DEV_IOC_CLONE analogue). Requests
   // route to a channel by caller pid, sticky, so independent processes stop
   // contending on one queue lock (see fuse_conn.h). 1 = the paper's
-  // single-queue design; 0 = one channel per server thread. Every mount
-  // reads it (plain attach, fleet attach, reconnect, the bench harness).
+  // single-queue design; 0 = one channel per server thread. Read by the
+  // opener, not by the mount: OpenFuseDevice with mount options sets the
+  // connection's shape before it is served (plain attach, fleet attach,
+  // reconnect, the bench harness).
   uint32_t num_channels = 1;
   size_t ChannelCount(int server_threads) const {
     return num_channels == 0 ? static_cast<size_t>(server_threads) : num_channels;
@@ -127,7 +129,8 @@ struct FuseMountOptions {
   bool ring_enabled = true;
   // Entries per ring (submission queue and completion slots). Rounded up to
   // a power of two in [8, 1024]; also the per-channel in-flight ceiling,
-  // under either profile. 0 keeps the connection's default-depth rings.
+  // under either profile. 0 = kDefaultRingDepth. Like num_channels, read by
+  // the opener (OpenFuseDevice), not by the mount.
   uint32_t ring_depth = kDefaultRingDepth;
   // Iterations a ring-profile completion waiter spin-polls before parking.
   // Higher burns CPU to shave wakeup latency; 0 parks immediately.
@@ -226,7 +229,7 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   bool splice_write_enabled() const { return splice_write_enabled_; }
   bool splice_move_enabled() const { return splice_move_enabled_; }
   // True when the mount asked for the ring profile, the server acked
-  // kFuseRingSubmission, and the connection switched over.
+  // kFuseRingSubmission, and the connection switched over (one-way).
   bool ring_enabled() const { return conn_->ring_profile() == RingProfile::kRing; }
 
   // --- negotiated I/O windows (FUSE_MAX_PAGES) ---

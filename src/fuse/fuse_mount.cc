@@ -60,6 +60,14 @@ StatusOr<std::pair<kernel::Fd, std::shared_ptr<FuseConn>>> OpenFuseDevice(
   return std::make_pair(fd, dev->conn());
 }
 
+StatusOr<std::pair<kernel::Fd, std::shared_ptr<FuseConn>>> OpenFuseDevice(
+    kernel::Kernel* kernel, kernel::Process& proc, const FuseMountOptions& opts,
+    int server_threads) {
+  CNTR_ASSIGN_OR_RETURN(auto dev, OpenFuseDevice(kernel, proc));
+  dev.second->ConfigureChannels(opts.ChannelCount(server_threads), opts.ring_depth);
+  return dev;
+}
+
 StatusOr<std::shared_ptr<FuseFs>> MountFuse(kernel::Kernel* kernel, kernel::Process& proc,
                                             const std::string& target,
                                             std::shared_ptr<FuseConn> conn,

@@ -20,9 +20,17 @@ namespace cntr::fuse {
 // Idempotent per kernel.
 void RegisterFuseDevice(kernel::Kernel* kernel);
 
-// Opens /dev/fuse as `proc` and returns (fd, connection).
+// Opens /dev/fuse as `proc` and returns (fd, connection). The connection
+// has the default shape: one channel of kDefaultRingDepth.
 StatusOr<std::pair<kernel::Fd, std::shared_ptr<FuseConn>>> OpenFuseDevice(kernel::Kernel* kernel,
                                                                           kernel::Process& proc);
+// The same, shaped for a mount before anything serves it: opts.ChannelCount
+// (server_threads) channels of opts.ring_depth entries (the clone ioctls a
+// real opener issues). Attach, reconnect and the bench harness open through
+// it, so they agree on the shape.
+StatusOr<std::pair<kernel::Fd, std::shared_ptr<FuseConn>>> OpenFuseDevice(
+    kernel::Kernel* kernel, kernel::Process& proc, const FuseMountOptions& opts,
+    int server_threads);
 
 // Creates the kernel-side filesystem over `conn` (INIT handshake included;
 // the server must already be running) and mounts it at `target` in proc's

@@ -75,8 +75,9 @@ inline constexpr uint32_t kFuseWritebackCache = 1 << 16;
 inline constexpr uint32_t kFuseMaxPages = 1 << 22;  // max_pages field is valid
 // Submission-ring transport (the FUSE-over-io_uring lineage; the real
 // kernel carries FUSE_OVER_IO_URING in flags2, here it rides the one flags
-// word): switches the per-channel SQ/CQ rings from the paper's per-request
-// wakeup-handshake cost profile to the ring profile. See docs/transport.md.
+// word): switches the connection, on the SQ/CQ rings it already has, from
+// the paper's per-request wakeup-handshake cost profile to the ring profile.
+// See docs/transport.md.
 inline constexpr uint32_t kFuseRingSubmission = 1u << 27;
 
 // Hard protocol ceiling on a negotiated request/reply payload

@@ -1,7 +1,8 @@
 // Submission-ring transport structures for /dev/fuse (io_uring lineage).
 //
-// Every FuseChannel carries one live RingState; it is the connection's only
-// request path:
+// Every FuseChannel carries one RingState, built with the channel when the
+// connection's shape is set and kept for the connection's life; it is the
+// connection's only request path:
 //
 //   * Submission queue (SQ): a bounded lock-free MPMC ring of FuseRequest.
 //     The kernel facade fills entries, the server reaps whole bursts in one
@@ -12,8 +13,8 @@
 //     waiter polls its own slot — no shared reply map, no shared lock.
 //
 // What a trip through the ring costs, and how its two sides wait, is the
-// ring's cost profile (RingProfile below): the paper's wakeup handshake or
-// the negotiated ring.
+// connection's cost profile (RingProfile below): the paper's wakeup
+// handshake or the negotiated ring.
 //
 // Slot lifecycle is carried in a single control word per slot packing a
 // generation counter with a state: (gen << 4) | state. Every transition is
@@ -46,7 +47,8 @@ namespace cntr::fuse {
 inline constexpr size_t kRingSlotBits = 10;
 inline constexpr size_t kMinRingDepth = 8;
 inline constexpr size_t kMaxRingDepth = size_t{1} << kRingSlotBits;  // 1024
-// Depth of a fresh connection's rings, before INIT settles the mount's own.
+// Depth of a connection's rings unless its opener sets another
+// (FuseConn::ConfigureChannels).
 inline constexpr size_t kDefaultRingDepth = 64;
 // Iterations a kRing waiter spin-polls before parking.
 inline constexpr uint32_t kDefaultRingSpinBudget = 2000;
@@ -68,6 +70,8 @@ inline constexpr size_t kRingReapBatch = 32;
 // kPaper is the paper's wakeup handshake (§3.3, Figure 4): a fresh
 // connection and its INIT exchange run it, and so does every mount whose
 // INIT did not negotiate kFuseRingSubmission. kRing is the negotiated ring.
+// The profile belongs to the connection, and the switch to kRing is one-way
+// (FuseConn::UseRingProfile).
 enum class RingProfile { kPaper, kRing };
 
 // Bounded MPMC queue (Vyukov): each cell carries a sequence number that
@@ -190,13 +194,9 @@ struct alignas(64) RingSlot {
 };
 
 struct RingState {
-  RingState(size_t depth, RingProfile profile)
-      : depth(depth), profile(profile), sq(depth), slots(depth) {}
-
-  bool paper() const { return profile == RingProfile::kPaper; }
+  explicit RingState(size_t depth) : depth(depth), sq(depth), slots(depth) {}
 
   const size_t depth;
-  const RingProfile profile;
   MpmcRing<FuseRequest> sq;
   std::vector<RingSlot> slots;
   // Rotating start for the completion-slot allocation scan.

@@ -20,15 +20,6 @@ namespace {
 CNTR_FAULT_POINT(kFaultPoolDispatch, "fuse.pool.dispatch");
 CNTR_FAULT_POINT(kFaultPoolQuarantine, "fuse.pool.quarantine");
 
-// Channel autoscaling thresholds: grow when the deepest channel's
-// max-queue-depth high-water reaches kGrowDepthPerChannel x channels,
-// shrink (halve) after kShrinkIdleScans controller passes with no new
-// requests. Both paths go through ConfigureChannels, which only fires on
-// a quiet connection.
-constexpr uint64_t kGrowDepthPerChannel = 4;
-constexpr uint32_t kShrinkIdleScans = 8;
-constexpr size_t kAutoscaleMaxChannels = 16;
-
 // DRR credit is clamped at this many unserved rounds so an idle mount
 // cannot bank an unbounded burst.
 constexpr int64_t kDeficitClampRounds = 4;
@@ -58,7 +49,6 @@ FuseServerPool::FuseServerPool(FuseServerPoolOptions opts)
   terminal_ = counter("cntr_pool_terminal_total");
   soft_sheds_ = counter("cntr_pool_soft_sheds_total");
   hard_sheds_ = counter("cntr_pool_hard_sheds_total");
-  reshapes_ = counter("cntr_pool_channel_reshapes_total");
   thread_growths_ = counter("cntr_pool_thread_growths_total");
 
   GrowThreadsTo(opts_.min_threads);
@@ -294,7 +284,6 @@ FuseServerPool::PoolStats FuseServerPool::stats() const {
   s.terminal = terminal_->Value();
   s.soft_sheds = soft_sheds_->Value();
   s.hard_sheds = hard_sheds_->Value();
-  s.channel_reshapes = reshapes_->Value();
   s.thread_growths = thread_growths_->Value();
   return s;
 }
@@ -486,15 +475,14 @@ void FuseServerPool::ControllerLoop() {
 
 void FuseServerPool::RunControllerPass() {
   // Quarantined connections are aborted only after controller_pass_mu_ is
-  // released below: Abort() notifies every channel's completion cv, and
-  // waking waiters while holding the pass lock — which this pass also holds
-  // while blocking on conn->queued_depth()'s reshape_mu_ — closes the
-  // reshape_mu_ ~> cq_cv ~> controller_pass cycle lockdep reports.
+  // released below: Abort() takes the connection's config lock and wakes
+  // every parked waiter, and keeping that off the pass lock leaves the pass
+  // lock with no edge into any connection's locks.
   std::vector<std::shared_ptr<FuseConn>> deferred_aborts;
   {
-    // Serialize with the background cadence: Mount's controller-side fields
-    // (next_reconnect, last_requests_seen, idle_scans) are plain, and two
-    // overlapping passes would double-fire TryReconnect bookkeeping.
+    // Serialize with the background cadence: Mount's controller-side field
+    // next_reconnect is plain, and two overlapping passes would double-fire
+    // TryReconnect bookkeeping.
     std::lock_guard<analysis::CheckedMutex> pass_lock(controller_pass_mu_);
     auto mounts = SnapshotMounts();
   uint64_t total_depth = 0;
@@ -531,9 +519,6 @@ void FuseServerPool::RunControllerPass() {
     if (depth > noisiest_depth) {
       noisiest_depth = depth;
       noisiest = &m;
-    }
-    if (opts_.autoscale_channels) {
-      AutoscaleChannels(m, *conn);
     }
   }
   queued_gauge_->Set(static_cast<int64_t>(total_depth));
@@ -715,7 +700,6 @@ void FuseServerPool::TryReconnect(Mount& m) {
     reconnects_->Add();
     m.faults.store(0, std::memory_order_release);
     m.reconnect_attempts.store(0, std::memory_order_release);
-    m.idle_scans = 0;
     NotifyPoolWork();
     return;
   }
@@ -737,39 +721,6 @@ void FuseServerPool::TryReconnect(Mount& m) {
                            << std::min<uint32_t>(attempts, 16);
   m.next_reconnect =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(backoff);
-}
-
-void FuseServerPool::AutoscaleChannels(Mount& m, FuseConn& conn) {
-  const size_t n = conn.num_channels();
-  uint64_t deepest = 0;
-  uint64_t requests = 0;
-  for (size_t i = 0; i < n; ++i) {
-    deepest = std::max(deepest, conn.channel_max_queue_depth(i));
-    requests += conn.channel_requests(i);
-  }
-  if (requests == m.last_requests_seen) {
-    ++m.idle_scans;
-  } else {
-    m.idle_scans = 0;
-    m.last_requests_seen = requests;
-  }
-  size_t desired = n;
-  if (deepest >= kGrowDepthPerChannel * n && n < kAutoscaleMaxChannels) {
-    // Sustained depth: more clones spread the premium. Clamp the doubling
-    // so a non-power-of-two starting count never overshoots the ceiling.
-    desired = std::min<size_t>(n * 2, kAutoscaleMaxChannels);
-  } else if (m.idle_scans >= kShrinkIdleScans && n > 1) {
-    desired = n / 2;  // long quiet: give the clones back
-    m.idle_scans = 0;
-  }
-  if (desired == n) {
-    return;
-  }
-  // Non-blocking: only fires on a provably quiet connection; a busy one
-  // just stays at its current count until a later pass.
-  if (conn.ConfigureChannels(desired) != n) {
-    reshapes_->Add();
-  }
 }
 
 }  // namespace cntr::fuse

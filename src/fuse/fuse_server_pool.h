@@ -35,14 +35,13 @@
 //     backoff and capped retries; exhausted retries park it in a terminal
 //     state surfaced through obs. One crashing filesystem never wedges a
 //     pool thread: the kill is charged to the mount, not the worker.
-//   * Dynamic channel scaling: the controller grows a mount's channel
-//     count when its per-channel max-queue-depth stats show sustained
-//     depth, and shrinks it after idle scans — both through
-//     FuseConn::ConfigureChannels, which only fires on a quiet instant.
+//
+// A connection's channel count is its opener's decision, fixed before the
+// pool serves it (OpenFuseDevice); the pool only reads it.
 //
 // Threads are elastic upward: the pool starts at min_threads and grows
 // toward max_threads when queued depth outruns the serving rate. The
-// controller (watermarks, health, reconnect, scaling) runs on its own
+// controller (watermarks, health, reconnect, thread growth) runs on its own
 // thread every controller_interval_ms; interval 0 disables the background
 // cadence so tests can drive RunControllerPass() deterministically.
 #ifndef CNTR_SRC_FUSE_FUSE_SERVER_POOL_H_
@@ -109,11 +108,9 @@ struct FuseServerPoolOptions {
   // — virtual time never advances here).
   uint32_t max_reconnect_attempts = 5;
   uint64_t reconnect_backoff_ms = 2;
-  // Health/watermark/scaling scan cadence; 0 = no background controller
-  // (tests drive RunControllerPass() explicitly).
+  // Health/watermark scan cadence; 0 = no background controller (tests
+  // drive RunControllerPass() explicitly).
   uint64_t controller_interval_ms = 1;
-  // Channel-count autoscaling via FuseConn::ConfigureChannels.
-  bool autoscale_channels = false;
   // Instrument registry; null = MetricsRegistry::Global().
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -165,8 +162,8 @@ class FuseServerPool {
   // Idempotent. Does not fire OnDestroy (RemoveMount owns that).
   void Stop();
 
-  // One synchronous controller pass (health, watermarks, reconnect,
-  // scaling); the background controller runs the same body on its cadence.
+  // One synchronous controller pass (health, watermarks, reconnect, thread
+  // growth); the background controller runs the same body on its cadence.
   // Passes are serialized internally, so calling this while the background
   // controller is running (controller_interval_ms > 0) is safe.
   void RunControllerPass();
@@ -187,7 +184,6 @@ class FuseServerPool {
     uint64_t terminal = 0;            // mounts that exhausted retries
     uint64_t soft_sheds = 0;          // deprioritizations applied
     uint64_t hard_sheds = 0;          // ETIMEDOUT shed gates armed
-    uint64_t channel_reshapes = 0;    // autoscaler reshapes that fired
     uint64_t thread_growths = 0;      // elastic worker spawns past min
   };
   PoolStats stats() const;
@@ -217,8 +213,6 @@ class FuseServerPool {
     ReconnectHook reconnect_hook;  // written under conn_mu
     // Controller-pass state, guarded by controller_pass_mu_.
     std::chrono::steady_clock::time_point next_reconnect{};
-    uint64_t last_requests_seen = 0;
-    uint32_t idle_scans = 0;
     obs::Gauge* state_gauge = nullptr;
   };
 
@@ -237,14 +231,12 @@ class FuseServerPool {
   void PublishMountState(Mount& m, MountState s);
   // Moves the mount to kQuarantined and drains its connection. With a
   // non-null `deferred_aborts`, the connection Abort() is handed back to
-  // the caller instead of running inline — required when the caller holds
-  // controller_pass_mu_ (aborting notifies the rings' completion waiters,
-  // and doing so under the pass lock closes a lock/wait cycle; see
-  // RunControllerPass).
+  // the caller instead of running inline — RunControllerPass aborts after
+  // it releases controller_pass_mu_, so the pass lock never nests the
+  // connection's locks.
   void Quarantine(Mount& m,
                   std::vector<std::shared_ptr<FuseConn>>* deferred_aborts = nullptr);
   void TryReconnect(Mount& m);
-  void AutoscaleChannels(Mount& m, FuseConn& conn);
   void GrowThreadsTo(int target);  // threads_mu_ must not be held
   void NotifyPoolWork();
 
@@ -257,7 +249,7 @@ class FuseServerPool {
   std::atomic<uint64_t> next_mount_id_{1};
 
   // Serializes controller passes: the background cadence and external
-  // RunControllerPass callers race on Mount's plain controller-side fields
+  // RunControllerPass callers race on Mount's plain controller-side field
   // and would double-fire TryReconnect bookkeeping otherwise.
   analysis::CheckedMutex controller_pass_mu_{"fuse.pool.controller_pass"};
 
@@ -289,7 +281,6 @@ class FuseServerPool {
   obs::Counter* terminal_;
   obs::Counter* soft_sheds_;
   obs::Counter* hard_sheds_;
-  obs::Counter* reshapes_;
   obs::Counter* thread_growths_;
 };
 

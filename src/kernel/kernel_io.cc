@@ -352,8 +352,14 @@ Status Kernel::CheckSticky(Process& proc, const InodeAttr& dir_attr, const Inode
 Status Kernel::Rmdir(Process& proc, const std::string& path) {
   CurrentScope current(proc);
   CNTR_RETURN_IF_ERROR(CheckLsm(proc, path, /*write_access=*/true));
-  CNTR_ASSIGN_OR_RETURN(auto parent, ResolveParent(proc, path));
-  auto& [dir, name] = parent;
+  // Bound in place rather than moved out of the StatusOr: GCC 12 at -O2
+  // flags the moved-to pair's string as maybe-uninitialized in the
+  // comparisons below.
+  auto parent = ResolveParent(proc, path);
+  if (!parent.ok()) {
+    return parent.status();
+  }
+  auto& [dir, name] = parent.value();
   if (name == "." || name == "..") {
     return Status::Error(EINVAL);
   }

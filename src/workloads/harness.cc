@@ -41,10 +41,10 @@ StatusOr<std::unique_ptr<BenchSide>> BenchSide::MakeCntrFs(const HarnessOptions&
   CNTR_ASSIGN_OR_RETURN(side->cntrfs_,
                         core::CntrFsServer::Create(kernel, side->server_proc_, "/"));
 
-  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel, *kernel->init()));
+  CNTR_ASSIGN_OR_RETURN(auto fuse_dev, fuse::OpenFuseDevice(kernel, *kernel->init(), opts.fuse,
+                                                            opts.server_threads));
   side->pool_ = std::make_unique<fuse::FuseServerPool>(
       fuse::FuseServerPoolOptions::Dedicated(opts.server_threads, &kernel->metrics()));
-  fuse_dev.second->ConfigureChannels(opts.fuse.ChannelCount(opts.server_threads));
   side->pool_->AddMount(fuse_dev.second, side->cntrfs_.get());
 
   CNTR_RETURN_IF_ERROR(kernel->Mkdir(*kernel->init(), "/cntrmnt", 0755));

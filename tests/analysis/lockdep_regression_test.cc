@@ -1,19 +1,19 @@
 // Regression tests for the four real wait-cycle findings the lockdep
 // validator flagged when the Checked* wrappers were first adopted (each ran
-// as a hard deadlock *shape*, benign only because reshape_mu_'s exclusive
-// side happens to be try-lock-only today):
+// as a hard deadlock *shape*, benign only because the exclusive side of
+// FuseConn's reshape lock was try-lock-only):
 //
 //   1. A timed-out submitter escalated to FuseConn::Abort() while still
-//      holding reshape_mu_ shared — Abort sweeps and notifies every
-//      channel's reply_cv, and other submitters park on reply_cv holding
-//      reshape_mu_ shared (reply_cv <-> reshape_mu_ cycle).
+//      holding the reshape lock shared — Abort sweeps and notifies every
+//      channel's reply_cv, and other submitters parked on reply_cv holding
+//      the reshape lock shared (reply_cv <-> reshape cycle).
 //   2. A ring submitter freed its completion slot and woke SQ-full parkers
-//      (sq_cv) before releasing reshape_mu_; the parkers hold reshape_mu_
-//      shared (sq_cv <-> reshape_mu_ cycle).
+//      (sq_cv) before releasing the reshape lock; the parkers held it
+//      shared (sq_cv <-> reshape cycle).
 //   3. FuseServerPool::RunControllerPass quarantined a crashed mount —
 //      Abort(), notifying reply_cv — while holding controller_pass_mu_,
-//      which the same pass also holds while blocking on queued_depth()'s
-//      reshape_mu_ (reshape ~> reply_cv ~> controller_pass ~> reshape).
+//      which the same pass also held while blocking on queued_depth()'s
+//      reshape lock (reshape ~> reply_cv ~> controller_pass ~> reshape).
 //   4. MetricsRegistry exposition invoked sampling callbacks under the
 //      registry mutex; callbacks took subsystem locks (dcache shards,
 //      page-cache shards) that instrumented request paths hold while
@@ -21,8 +21,15 @@
 //      The callbacks are gone: subsystems count straight into the
 //      registry, so exposition never leaves it.
 //
-// Each test drives the fixed path with the validator armed and a capturing
-// handler installed: a regression reintroducing the inversion fails here
+// Findings 1-3 no longer have a lock to form around: a connection's shape
+// is fixed before it is served, so the request path holds no connection
+// lock from routing to reply, and the deferral of wake-ups and Abort past
+// that lock is gone with it. The tests keep driving the same paths — a
+// timeout-escalated Abort, SQ-full wake-ups, a quarantine during a
+// controller pass — so a lock reintroduced around them is caught.
+//
+// Each test drives the path with the validator armed and a capturing
+// handler installed: a regression reintroducing an inversion fails here
 // with the full two-stack report, without needing CNTR_LOCKDEP=1 in the
 // environment.
 #include <gtest/gtest.h>
@@ -76,7 +83,8 @@ class LockdepRegressionTest : public ::testing::Test {
   bool was_enabled_ = false;
 };
 
-// Finding 1: timeout-escalated Abort no longer runs under reshape_mu_.
+// Finding 1: a timeout-escalated Abort runs on the submitter's thread with
+// no connection lock held.
 TEST_F(LockdepRegressionTest, TimeoutEscalatedAbortDoesNotNotifyUnderReshape) {
   SimClock clock;
   CostModel costs;
@@ -90,15 +98,16 @@ TEST_F(LockdepRegressionTest, TimeoutEscalatedAbortDoesNotNotifyUnderReshape) {
   EXPECT_EQ(reports_.load(), 0) << last_.details;
 }
 
-// Finding 2: completion-side sq_cv wakeups are deferred past the reshape
-// window. Over-subscribe a minimum-depth ring so submitters park SQ-full
-// (recording the reshape -> sq_cv wait edge), then complete everything —
-// every completing submitter wakes the parkers on its way out.
+// Finding 2: completion-side sq_cv wake-ups run with no connection lock
+// held. Over-subscribe a minimum-depth ring so submitters park SQ-full,
+// then complete everything — every completing submitter wakes the parkers
+// on its way out.
 TEST_F(LockdepRegressionTest, RingSqWakeupsHappenOutsideTheReshapeWindow) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_EQ(conn.ConfigureRing(fuse::kMinRingDepth), fuse::kMinRingDepth);
+  ASSERT_EQ(conn.ConfigureChannels(1, fuse::kMinRingDepth), 1u);
+  conn.UseRingProfile();
 
   constexpr int kClients = 3 * static_cast<int>(fuse::kMinRingDepth);
   std::atomic<int> ok{0};
@@ -137,9 +146,9 @@ TEST_F(LockdepRegressionTest, RingSqWakeupsHappenOutsideTheReshapeWindow) {
 
 // Finding 3: the controller pass defers quarantine Aborts until
 // controller_pass_mu_ is released. A submitter parked on another
-// connection's reply_cv records the class-level reshape -> reply_cv edge;
-// the pass must quarantine the crashed mount (Abort -> notify) and poll the
-// healthy mount's queued_depth (reshape_mu_) without closing the cycle.
+// connection's reply_cv records its wait edges; the pass must quarantine the
+// crashed mount (Abort -> notify) and poll the healthy mount's queued_depth
+// without closing a cycle.
 TEST_F(LockdepRegressionTest, ControllerPassQuarantineAbortsOutsidePassLock) {
   class NullHandler : public FuseHandler {
    public:
@@ -149,9 +158,8 @@ TEST_F(LockdepRegressionTest, ControllerPassQuarantineAbortsOutsidePassLock) {
   CostModel costs;
   NullHandler handler;
 
-  // Standalone connection with a parked submitter: records
-  // reshape(shared) -> reply_cv in the class graph, exactly what a live
-  // tenant's in-flight request contributes.
+  // Standalone connection with a parked submitter: records the wait edges
+  // a live tenant's in-flight request contributes to the class graph.
   FuseConn parked(&clock, &costs);
   std::thread submitter([&] {
     (void)parked.SendAndWait(FuseRequest{});  // resolves ENOTCONN on Abort

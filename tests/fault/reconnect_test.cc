@@ -6,8 +6,12 @@
 // instead of hanging or leaking lane capacity.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "src/container/engine.h"
 #include "src/core/attach.h"
@@ -22,9 +26,44 @@
 namespace cntr::fault {
 namespace {
 
+// Answers for CNTRFS. Once armed, it holds the next INIT until a client's
+// LOOKUP is in flight on the same connection, and holds that LOOKUP until
+// the test releases it: a reconnect whose INIT completes under traffic.
+class InitUnderTrafficHandler : public fuse::FuseHandler {
+ public:
+  fuse::FuseHandler* inner = nullptr;
+  std::function<void()> on_init;  // starts the client
+  std::atomic<bool> armed{false};
+  std::atomic<bool> lookup_held{false};
+  std::atomic<bool> release{false};
+
+  fuse::FuseReply Handle(const fuse::FuseRequest& req) override {
+    if (armed.load() && req.opcode == fuse::FuseOpcode::kInit) {
+      on_init();
+      WaitFor(lookup_held);
+      armed.store(false);
+    } else if (armed.load() && req.opcode == fuse::FuseOpcode::kLookup &&
+               !lookup_held.exchange(true)) {
+      WaitFor(release);
+    }
+    return inner->Handle(req);
+  }
+
+ private:
+  // Bounded: a missing LOOKUP fails the test's assertions instead of
+  // hanging it.
+  static void WaitFor(const std::atomic<bool>& flag) {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  }
+};
+
 class ReconnectTest : public ::testing::Test {
  protected:
-  void Mount(fuse::FuseMountOptions opts) {
+  // `front`, when given, serves the mount in front of CNTRFS.
+  void Mount(fuse::FuseMountOptions opts, InitUnderTrafficHandler* front = nullptr) {
     kernel_ = kernel::Kernel::Create();
     fuse::RegisterFuseDevice(kernel_.get());
     server_proc_ = kernel_->Fork(*kernel_->init(), "cntrfs");
@@ -36,7 +75,12 @@ class ReconnectTest : public ::testing::Test {
     ASSERT_TRUE(dev.ok());
     pool_ = std::make_unique<fuse::FuseServerPool>(
         fuse::FuseServerPoolOptions::Dedicated(2, &kernel_->metrics()));
-    mount_id_ = pool_->AddMount(dev->second, cntrfs_.get());
+    fuse::FuseHandler* handler = cntrfs_.get();
+    if (front != nullptr) {
+      front->inner = cntrfs_.get();
+      handler = front;
+    }
+    mount_id_ = pool_->AddMount(dev->second, handler);
     ASSERT_TRUE(kernel_->Mkdir(*kernel_->init(), "/m", 0755).ok());
     auto fs = fuse::MountFuse(kernel_.get(), *kernel_->init(), "/m", dev->second, opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -78,6 +122,8 @@ class ReconnectTest : public ::testing::Test {
   std::unique_ptr<fuse::FuseServerPool> pool_;
   uint64_t mount_id_ = 0;
   std::shared_ptr<fuse::FuseFs> fuse_fs_;
+  // Outlives the pool that calls it (TearDown stops the pool).
+  InitUnderTrafficHandler front_;
 };
 
 TEST_F(ReconnectTest, ReconnectRestoresServiceAndReopensLiveHandles) {
@@ -115,6 +161,31 @@ TEST_F(ReconnectTest, ReconnectRestoresServiceAndReopensLiveHandles) {
   ASSERT_TRUE(kernel_->Close(*proc_, rfd.value()).ok());
 
   EXPECT_EQ(fuse_fs_->conn().lane_bytes_in_flight(), 0u);
+}
+
+// A reconnect whose INIT completes while a client request is in flight on
+// the new connection still gets the negotiated ring profile: the switch
+// keeps the rings it has and does not wait for a quiet connection.
+TEST_F(ReconnectTest, ReconnectUnderTrafficGetsTheNegotiatedRing) {
+  std::thread client;
+  front_.on_init = [&] {
+    client = std::thread([&] { (void)kernel_->Stat(*proc_, "/m/tmp/held-lookup"); });
+  };
+  Mount(fuse::FuseMountOptions::Optimized(), &front_);
+  EXPECT_TRUE(fuse_fs_->ring_enabled());
+  fuse_fs_->conn().Abort();
+  front_.armed.store(true);
+
+  DoReconnect();
+  EXPECT_TRUE(front_.lookup_held.load()) << "INIT was answered with no LOOKUP in flight";
+  front_.release.store(true);
+  if (client.joinable()) {
+    client.join();
+  }
+
+  EXPECT_TRUE(fuse_fs_->ring_enabled());
+  EXPECT_EQ(fuse_fs_->conn().ring_profile(), fuse::RingProfile::kRing);
+  EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok());
 }
 
 TEST_F(ReconnectTest, ReconnectRejectsALiveConnection) {

@@ -1,6 +1,6 @@
 // Abort-reconciliation races (docs/robustness.md, TSan matrix): Abort()
 // against parked waiters, against in-flight spliced I/O, and against a
-// concurrent channel reshape. The assertions are weak on purpose — every
+// concurrent pre-serve ConfigureChannels. The assertions are weak on purpose — every
 // operation resolves (no hangs), no lane capacity stays parked — because
 // the real verdict comes from running this binary under ThreadSanitizer in
 // CI, where any lock-order inversion or unsynchronized access fails loudly.
@@ -49,9 +49,11 @@ TEST(AbortRaceTest, AbortWakesEveryParkedWaiter) {
 }
 
 TEST(AbortRaceTest, AbortRacesChannelReshapeWithoutCorruption) {
-  // ConfigureChannels only fires on a quiet connection, but a caller racing
-  // it against Abort must never corrupt the channel table or deadlock —
-  // the config lock serializes reshape against Abort's owned-channel sweep.
+  // ConfigureChannels is refused once the first request froze the shape or
+  // Abort ran, but a caller racing it against both must never corrupt the
+  // channel table or deadlock: the config lock serializes it against
+  // Abort's owned-channel sweep, and a first submitter waits out an install
+  // in progress before it routes.
   for (int round = 0; round < 32; ++round) {
     SimClock clock;
     CostModel costs;

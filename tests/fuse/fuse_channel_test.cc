@@ -178,12 +178,14 @@ TEST(FuseChannelTest, ChannelCountClampsAndFreezesUnderTraffic) {
   EXPECT_EQ(conn.ConfigureChannels(0), 1u);
   EXPECT_EQ(conn.ConfigureChannels(FuseConn::kMaxChannels * 2), FuseConn::kMaxChannels);
   EXPECT_EQ(conn.ConfigureChannels(4), 4u);
-  // With a request queued the shape is frozen: a reshape would strand it on
-  // a retired channel.
+  // The first request freezes the shape: its unique names its channel.
   conn.SendNoReply(ForgetFrom(1));
   EXPECT_EQ(conn.ConfigureChannels(8), 4u);
+  // Drained, the connection still keeps the shape it was served with.
   ASSERT_TRUE(PollRequest(conn, conn.RouteChannel(1)).has_value());
-  EXPECT_EQ(conn.ConfigureChannels(8), 8u);
+  EXPECT_EQ(conn.queued_depth(), 0u);
+  EXPECT_EQ(conn.ConfigureChannels(8), 4u);
+  EXPECT_EQ(conn.num_channels(), 4u);
   conn.Abort();
 }
 

@@ -73,7 +73,7 @@ TEST(FuseConnTest, RoundTripChargesVirtualTime) {
   // The ring profile: SQE fill + doorbell + CQE publish; a FORGET is one
   // SQE fill and rings no doorbell.
   FuseConn ring(&clock, &costs);
-  ASSERT_GT(ring.ConfigureRing(kDefaultRingDepth), 0u);
+  ring.UseRingProfile();
   EXPECT_EQ(MeasureRoundTrip(clock, ring),
             costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns + costs.fuse_ring_cqe_ns);
   EXPECT_EQ(forget_charge(ring), costs.fuse_ring_sqe_ns);
@@ -130,7 +130,7 @@ TEST(FuseConnTest, ContentionCostGrowsWithReaders) {
   auto with_readers = [&](int readers, RingProfile profile) {
     auto conn = std::make_unique<FuseConn>(&clock, &costs);
     if (profile == RingProfile::kRing) {
-      EXPECT_GT(conn->ConfigureRing(kDefaultRingDepth), 0u);
+      conn->UseRingProfile();
     }
     conn->SetServerParallelism(static_cast<uint32_t>(readers));
     return conn;

@@ -1,8 +1,9 @@
-// Submission-ring transport tests: profile negotiation and fallback, ring
-// replacement under a waiting reader, out-of-order completion to the right
+// Submission-ring transport tests: the ring depth set with the shape and
+// the one-way profile switch, out-of-order completion to the right
 // waiters, SQ-full backpressure vs. the admission gate, FORGET ordering
 // across a reap boundary, interrupt and deadline expiry of ring-resident
 // requests, abort with entries in flight, multi-reap batch accounting, a
+// doorbell charged before an immediate reap can stamp the request, a
 // queued-depth count that never wraps under concurrent reaps, the paper
 // profile's pinned timeline, splice payloads over rings, and the ring fault
 // points degrading cleanly.
@@ -60,69 +61,45 @@ TEST(RingTransportTest, ConfigureRingClampsAndIsOneShot) {
     // A fresh connection runs the paper profile on default-depth rings.
     EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
     EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
-    // Depth rounds up to a power of two within [kMinRingDepth, kMaxRingDepth].
-    EXPECT_EQ(conn.ConfigureRing(10), 16u);
+    // The depth is part of the shape: it rounds up to a power of two within
+    // [kMinRingDepth, kMaxRingDepth], and 0 keeps the default.
+    EXPECT_EQ(conn.ConfigureChannels(2, 10), 2u);
+    EXPECT_EQ(conn.ring_depth(), 16u);
+    EXPECT_EQ(conn.ConfigureChannels(2, 1), 2u);
+    EXPECT_EQ(conn.ring_depth(), kMinRingDepth);
+    EXPECT_EQ(conn.ConfigureChannels(2, 1 << 20), 2u);
+    EXPECT_EQ(conn.ring_depth(), kMaxRingDepth) << "clamped to the width of the slot index";
+    EXPECT_EQ(conn.ConfigureChannels(2, 0), 2u);
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
+    EXPECT_EQ(conn.ConfigureChannels(2, 16), 2u);
+    // The profile switch keeps the rings and their depth.
+    conn.UseRingProfile();
     EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
     EXPECT_EQ(conn.ring_depth(), 16u);
-    // The negotiated ring is one-shot: its depth and profile stick.
-    EXPECT_EQ(conn.ConfigureRing(256), 16u);
-    EXPECT_EQ(conn.ConfigureRing(256, kDefaultRingSpinBudget, RingProfile::kPaper), 16u);
-    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
     conn.Abort();
   }
   {
-    FuseConn conn(&clock, &costs, 1);
-    EXPECT_EQ(conn.ConfigureRing(0), 0u) << "depth 0 keeps the current rings";
-    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
-    // A mount that keeps the paper profile still sizes its rings: the depth
-    // is the in-flight ceiling under either profile.
-    EXPECT_EQ(conn.ConfigureRing(1, kDefaultRingSpinBudget, RingProfile::kPaper),
-              kMinRingDepth);
-    EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
-    EXPECT_EQ(conn.ConfigureRing(1 << 20), kMaxRingDepth)
-        << "clamped to the width of the slot index";
-    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
-    EXPECT_EQ(conn.ConfigureRing(1), kMaxRingDepth)
-        << "second switch refused: the established depth sticks";
-    conn.Abort();
-  }
-  {
-    // Only a quiet connection has its rings replaced: a queued entry would
-    // be stranded on the old ring.
+    // The switch is one-way and needs no quiet connection: a queued entry
+    // stays where it is, and the ring profile sticks.
     FuseConn conn(&clock, &costs, 1);
     conn.SendNoReply(ForgetFrom(5));
-    EXPECT_EQ(conn.ConfigureRing(16), 0u);
-    EXPECT_EQ(conn.ring_profile(), RingProfile::kPaper);
-    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
+    conn.UseRingProfile(/*spin_budget=*/7);
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
+    EXPECT_EQ(conn.effective_ring_spin_budget(), 7u);
+    conn.UseRingProfile();
+    EXPECT_EQ(conn.ring_profile(), RingProfile::kRing);
+    EXPECT_EQ(conn.TryReadRequestBatch(0).size(), 1u) << "the queued FORGET survived the switch";
+    EXPECT_EQ(conn.ConfigureChannels(1, 128), 1u);
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth) << "the first request froze the depth";
     conn.Abort();
   }
-}
-
-TEST(RingTransportTest, ParkedReaderPicksUpReplacedRings) {
-  SimClock clock;
-  CostModel costs;
-  FuseConn conn(&clock, &costs, 2);
-  // A reader waits on the fresh connection's rings; replacing them must not
-  // free what it scans, and its next scan must find the new rings' traffic.
-  std::atomic<bool> got{false};
-  std::thread reader([&] {
-    std::vector<FuseRequest> batch = PollRequests(conn);
-    got.store(!batch.empty() && batch.front().opcode == FuseOpcode::kForget);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_EQ(conn.ConfigureRing(32), 32u);
-  conn.SendNoReply(ForgetFrom(PidOnChannel(conn, 1)));
-  reader.join();
-  EXPECT_TRUE(got.load());
-  EXPECT_EQ(conn.queued_depth(), 0u);
-  conn.Abort();
 }
 
 TEST(RingTransportTest, OutOfOrderCompletionReachesTheRightWaiters) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
 
   constexpr int kClients = 4;
   std::atomic<int> correct{0};
@@ -167,7 +144,9 @@ TEST(RingTransportTest, SqFullBackpressureBlocksSubmittersUntilTheServerDrains) 
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_EQ(conn.ConfigureRing(kMinRingDepth), kMinRingDepth);
+  ASSERT_EQ(conn.ConfigureChannels(1, kMinRingDepth), 1u);
+  ASSERT_EQ(conn.ring_depth(), kMinRingDepth);
+  conn.UseRingProfile();
 
   // 3x more concurrent submitters than the ring has slots: the excess must
   // park (bounded waits) and land once the server starts reaping — no
@@ -213,7 +192,7 @@ TEST(RingTransportTest, AdmissionGateFiresBeforeTheRingEverFills) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
   conn.SetMaxBackground(2);  // cap far below the ring depth
 
   constexpr int kClients = 8;
@@ -253,7 +232,7 @@ TEST(RingTransportTest, ForgetStaysOrderedBehindLookupAcrossOneReap) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
 
   std::thread client([&] {
     FuseRequest lookup;
@@ -290,7 +269,7 @@ TEST(RingTransportTest, InterruptResolvesARingResidentRequest) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
 
   std::atomic<int> eintr{0};
   std::thread client([&] {
@@ -317,7 +296,7 @@ TEST(RingTransportTest, DeadlineExpiresARingResidentRequest) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
   // Tight virtual deadline, short real grace: the sweeper expires the
   // never-served request even though no server thread exists at all.
   conn.SetRequestDeadline(/*virtual_ns=*/50'000, /*real_grace_ms=*/5);
@@ -332,7 +311,7 @@ TEST(RingTransportTest, AbortWakesRingWaitersOnAllChannels) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 4);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
 
   std::atomic<int> enotconn{0};
   std::vector<std::thread> clients;
@@ -365,7 +344,7 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
 
   constexpr size_t kBurst = 16;
   for (size_t i = 0; i < kBurst; ++i) {
@@ -389,7 +368,7 @@ TEST(RingTransportTest, PaperProfileReapsOneRequestPerPoolVisit) {
   for (RingProfile profile : {RingProfile::kPaper, RingProfile::kRing}) {
     FuseConn conn(&clock, &costs, 1);
     if (profile == RingProfile::kRing) {
-      ASSERT_GT(conn.ConfigureRing(64), 0u);
+      conn.UseRingProfile();
     }
     for (int i = 0; i < 3; ++i) {
       conn.SendNoReply(ForgetFrom(9));
@@ -399,16 +378,49 @@ TEST(RingTransportTest, PaperProfileReapsOneRequestPerPoolVisit) {
   }
 }
 
+// A worker that reaps an SQE the instant it lands stamps reap_ns from the
+// submitter's timeline, so the doorbell must already be charged there: the
+// queue phase is SQE fill + doorbell however fast the reap.
+TEST(RingTransportTest, ImmediateReapSeesTheDoorbellCharge) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 1);
+  conn.UseRingProfile();
+  constexpr int kRequests = 20'000;
+  std::atomic<int> short_queue{0};
+  std::thread server([&] {
+    for (int served = 0; served < kRequests;) {
+      for (FuseRequest& req : conn.TryReadRequestBatch(0)) {  // busy poll: no yield
+        if (req.span->reap_ns.load() - req.span->enqueue_ns <
+            costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns) {
+          short_queue.fetch_add(1);
+        }
+        conn.WriteReply(req.unique, FuseReply{});
+        ++served;
+      }
+    }
+  });
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(conn.SendAndWait(GetattrFrom(7)).ok());
+  }
+  server.join();
+  EXPECT_EQ(short_queue.load(), 0);
+  conn.Abort();
+}
+
 TEST(RingTransportTest, QueuedDepthNeverWrapsUnderConcurrentReaps) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1);
-  ASSERT_EQ(conn.ConfigureRing(64), 64u);
+  conn.UseRingProfile();
+  ASSERT_EQ(conn.ring_depth(), 64u);
 
-  // Every SQE is counted before it is published, so a reaper's decrement
-  // never runs ahead of the submitter's increment: the depth stays within
-  // the ring plus one in-flight push per submitter, and never wraps.
+  // Every SQE is counted before it is published and uncounted after it is
+  // popped, so a reaper's decrement never runs ahead of the submitter's
+  // increment: the depth stays within the ring plus one in-flight push per
+  // submitter plus one in-flight pop per reaper, and never wraps.
   constexpr int kSubmitters = 3;
+  constexpr int kReapers = 1;
   constexpr int kPerSubmitter = 20'000;
   std::atomic<bool> done{false};
   std::atomic<uint64_t> worst{0};
@@ -440,7 +452,7 @@ TEST(RingTransportTest, QueuedDepthNeverWrapsUnderConcurrentReaps) {
   reaper.join();
   done.store(true);
   sampler.join();
-  EXPECT_LE(worst.load(), 64u + kSubmitters);
+  EXPECT_LE(worst.load(), 64u + kSubmitters + kReapers);
   EXPECT_EQ(conn.queued_depth(), 0u);
   conn.Abort();
 }
@@ -457,7 +469,7 @@ class RingMountTest : public ::testing::Test {
     auto server = core::CntrFsServer::Create(kernel_.get(), server_proc_, "/");
     ASSERT_TRUE(server.ok());
     cntrfs_ = std::move(server).value();
-    auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init());
+    auto dev = OpenFuseDevice(kernel_.get(), *kernel_->init(), opts, /*server_threads=*/2);
     ASSERT_TRUE(dev.ok());
     conn_ = dev->second;
     pool_ = std::make_unique<FuseServerPool>(
@@ -554,7 +566,7 @@ TEST_F(RingMountTest, NegotiationIsOnByDefaultAndOptOutStaysLegacy) {
   EXPECT_GE(conn_->stats().reaped_requests, 1u);
 
   // Mount-side opt-out: the flag is never offered, and the connection keeps
-  // the paper profile it was born with, on rings of the mount's depth.
+  // the paper profile it was born with, on rings of the depth its opener set.
   FuseMountOptions off = FuseMountOptions::Optimized();
   off.ring_enabled = false;
   off.ring_depth = 128;

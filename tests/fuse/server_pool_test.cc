@@ -3,8 +3,8 @@
 // per-tenant admission budgets, watermark shedding with hysteresis,
 // quarantine → reconnect → terminal lifecycle, cross-tenant isolation when
 // one mount is killed or stalled, spin-budget backoff when pool threads are
-// scarcer than channels, dynamic channel scaling, elastic thread growth,
-// and the fleet kill-at-op-N sweep over the pool injection points.
+// scarcer than channels, elastic thread growth, and the fleet
+// kill-at-op-N sweep over the pool injection points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -286,38 +286,6 @@ TEST(FuseServerPoolTest, RemoveMountNeverRacesReconnectHook) {
   }
 }
 
-// The grow path doubles the channel count; from a non-power-of-two start
-// the doubling must clamp at the autoscale ceiling (16), not overshoot it.
-TEST(FuseServerPoolTest, ChannelAutoscaleClampsDoublingAtCeiling) {
-  SimClock clock;
-  CostModel costs;
-  FuseServerPoolOptions opts = ManualPool();
-  opts.min_threads = 1;
-  opts.max_threads = 1;
-  opts.autoscale_channels = true;
-  opts.soft_watermark = 1000;  // scaling, not shedding
-  opts.hard_watermark = 2000;
-  FuseServerPool pool(opts);
-
-  EchoHandler handler;
-  auto conn = std::make_shared<FuseConn>(&clock, &costs, 12);
-  // Saturate one channel's high-water (>= 4 x 12 channels) before the pool
-  // serves the mount, so the grow trigger is deterministic.
-  for (int i = 0; i < 48; ++i) {
-    conn->SendNoReply(ForgetFrom(1));
-  }
-  pool.AddMount(conn, &handler);
-  while (conn->queued_depth() != 0 || handler.handled() < 48) {
-    std::this_thread::yield();
-  }
-
-  pool.RunControllerPass();
-  EXPECT_EQ(conn->num_channels(), 16u);  // min(12 * 2, ceiling), not 24
-  pool.RunControllerPass();
-  EXPECT_EQ(conn->num_channels(), 16u);  // at the ceiling: growth stops
-  pool.Stop();
-}
-
 // Cross-tenant isolation: killing or stalling one of N mounts must leave the
 // survivors' latency distribution and throughput intact (the ≤10% fleet
 // acceptance bound; the bench panel guards the same property end to end).
@@ -452,7 +420,7 @@ TEST(FuseServerPoolTest, SpinBudgetBacksOffWhenThreadsAreScarce) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 4);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
   // Undeclared or ample parallelism: the configured budget stands.
   EXPECT_EQ(conn.effective_ring_spin_budget(), kDefaultRingSpinBudget);
   conn.SetServerParallelism(4);
@@ -474,49 +442,9 @@ TEST(FuseServerPoolTest, SpinBudgetBackoffNeverReachesZero) {
   CostModel costs;
   FuseConn conn(&clock, &costs, 4);
   conn.SetServerParallelism(1);
-  ASSERT_GT(conn.ConfigureRing(64, /*spin_budget=*/2), 0u);
+  conn.UseRingProfile(/*spin_budget=*/2);
   EXPECT_EQ(conn.effective_ring_spin_budget(), 1u);
   conn.Abort();
-}
-
-TEST(FuseServerPoolTest, DynamicChannelScalingGrowsAndShrinks) {
-  SimClock clock;
-  CostModel costs;
-  FuseServerPoolOptions opts = ManualPool();
-  opts.min_threads = 1;
-  opts.max_threads = 1;
-  opts.autoscale_channels = true;
-  // High watermarks: this test is about scaling, not shedding.
-  opts.soft_watermark = 1000;
-  opts.hard_watermark = 2000;
-  FuseServerPool pool(opts);
-
-  EchoHandler handler;
-  auto conn = std::make_shared<FuseConn>(&clock, &costs, 1);
-  // Pile depth onto the single channel BEFORE the pool serves the mount, so
-  // the max-queue-depth high-water is deterministic.
-  for (int i = 0; i < 8; ++i) {
-    conn->SendNoReply(ForgetFrom(1));
-  }
-  ASSERT_GE(conn->channel_max_queue_depth(0), 4u);
-  uint64_t id = pool.AddMount(conn, &handler);
-  while (conn->queued_depth() != 0 || handler.handled() < 8) {
-    std::this_thread::yield();
-  }
-
-  // Quiet now, but the high-water says the single channel saturated: grow.
-  pool.RunControllerPass();
-  EXPECT_EQ(conn->num_channels(), 2u);
-  EXPECT_EQ(pool.stats().channel_reshapes, 1u);
-
-  // Sustained quiet: the clone is given back.
-  for (int i = 0; i < 12 && conn->num_channels() != 1; ++i) {
-    pool.RunControllerPass();
-  }
-  EXPECT_EQ(conn->num_channels(), 1u);
-  EXPECT_EQ(pool.stats().channel_reshapes, 2u);
-  EXPECT_EQ(pool.mount_state(id), MountState::kActive);
-  pool.Stop();
 }
 
 TEST(FuseServerPoolTest, ElasticThreadsGrowUnderBacklog) {

@@ -207,21 +207,6 @@ TEST_F(SpliceTransportTest, LaneTooSmallFallsBackToCopyAndStaysCorrect) {
   EXPECT_GT(stats.splice_fallbacks, 0u);
 }
 
-TEST_F(SpliceTransportTest, PerChannelOptOutPinsTrafficToCopyPath) {
-  const std::string want = Pattern(kFileSize);
-  Mount(FuseMountOptions::Optimized());
-  conn_->SetChannelSplice(0, false);  // single channel: everything opted out
-  SeedFile("/data/optout.dat", want);
-  EXPECT_EQ(ReadThroughMount("/m/data/optout.dat", want.size()), want);
-  EXPECT_EQ(conn_->stats().spliced_bytes, 0u);
-  EXPECT_EQ(cntrfs_->stats().spliced_reads, 0u);
-  // Opt back in: the next cold read splices again.
-  conn_->SetChannelSplice(0, true);
-  kernel_->page_cache().DropAllClean();
-  EXPECT_EQ(ReadThroughMount("/m/data/optout.dat", want.size()), want);
-  EXPECT_GT(conn_->stats().spliced_bytes, 0u);
-}
-
 TEST_F(SpliceTransportTest, SplicedWriteThroughLandsIdenticalBytes) {
   const std::string want = Pattern(kFileSize);
   FuseMountOptions opts = FuseMountOptions::Optimized();

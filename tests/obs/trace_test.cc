@@ -226,7 +226,7 @@ TEST(TraceTransportTest, RingOutOfOrderCompletionKeepsSpansStraight) {
   SimClock clock;
   CostModel costs;
   FuseConn conn(&clock, &costs, 1, nullptr, &reg);
-  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  conn.UseRingProfile();
   const std::string mount = conn.mount_label();
 
   constexpr int kClients = 4;
