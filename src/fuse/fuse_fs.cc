@@ -19,6 +19,14 @@ using kernel::kPageSize;
 
 namespace {
 CNTR_FAULT_POINT(kFaultFlusher, "fuse.flusher");
+
+// A page frame for the cache holding `src[0, len)`, zero-padded.
+std::shared_ptr<char[]> PaddedFrame(const char* src, size_t len) {
+  std::shared_ptr<char[]> frame = kernel::NewPageFrame();
+  std::memcpy(frame.get(), src, len);
+  std::memset(frame.get() + len, 0, kPageSize - len);
+  return frame;
+}
 }  // namespace
 
 // Open file over a FUSE inode; directories carry a dir handle. Registered
@@ -1136,21 +1144,23 @@ StatusOr<size_t> FuseInode::ReadData(char* buf, size_t count, uint64_t off, uint
       for (size_t i = 0; i < reply.pages.size(); ++i) {
         const splice::PageRef& ref = reply.pages[i];
         uint64_t at = idx + i;
-        if (!pool.HasPage(this, at)) {
-          if (ref.len == kPageSize) {
-            auto res = pool.StorePageRef(this, at, ref, /*dirty=*/false,
-                                         /*allow_alias=*/fs_->splice_move_enabled());
-            fs_->kernel()->clock().Advance(
-                res.mode == kernel::PageCachePool::StoreRefMode::kCopied
-                    ? costs.copy_page_ns
-                    : costs.splice_page_ns);
-          } else {
-            // EOF tail: short refs pad into a private page.
-            std::memset(page, 0, kPageSize);
-            std::memcpy(page, ref.data(), ref.len);
-            pool.StorePage(this, at, page, /*dirty=*/false);
-            fs_->kernel()->clock().Advance(costs.copy_page_ns);
+        // Installed unless resident, in one call: a stolen or aliased ref
+        // costs the splice rate, a copy (or a padded tail) the copy rate.
+        uint64_t install_ns = costs.copy_page_ns;
+        bool installed = false;
+        if (ref.len == kPageSize) {
+          auto mode = pool.InsertRefIfAbsent(this, at, ref,
+                                             /*allow_alias=*/fs_->splice_move_enabled());
+          installed = mode.has_value();
+          if (installed && *mode != kernel::PageCachePool::StoreRefMode::kCopied) {
+            install_ns = costs.splice_page_ns;
           }
+        } else {
+          // EOF tail: short refs pad into a private page.
+          installed = pool.InsertIfAbsent(this, at, PaddedFrame(ref.data(), ref.len));
+        }
+        if (installed) {
+          fs_->kernel()->clock().Advance(install_ns);
           if (at <= last) {
             copy_out(at, ref.data(), ref.len);
           }
@@ -1176,11 +1186,7 @@ StatusOr<size_t> FuseInode::ReadData(char* buf, size_t count, uint64_t off, uint
     // one hop per page.
     for (uint32_t i = 0; i * kPageSize < reply.data.size(); ++i) {
       size_t n = std::min<size_t>(kPageSize, reply.data.size() - i * kPageSize);
-      std::memset(page, 0, kPageSize);
-      std::memcpy(page, reply.data.data() + i * kPageSize, n);
-      if (!pool.HasPage(this, idx + i)) {
-        pool.StorePage(this, idx + i, page, /*dirty=*/false);
-      }
+      pool.InsertIfAbsent(this, idx + i, PaddedFrame(reply.data.data() + i * kPageSize, n));
       fs_->kernel()->clock().Advance(per_page_hop);
     }
     if (!pool.ReadPage(this, idx, page)) {

@@ -1062,16 +1062,16 @@ void MemInode::FillFromDiskLocked(uint64_t page_idx, uint32_t pages) {
   if (pages == 0) {
     pages = 1;
   }
-  char page[kPageSize];
   uint32_t fetched = 0;
   for (uint32_t i = 0; i < pages; ++i) {
     uint64_t idx = page_idx + i;
-    if (opts.page_cache->HasPage(this, idx)) {
-      continue;  // never clobber a resident (possibly dirty) page
+    // The disk bytes land in the frame the cache adopts; a resident
+    // (possibly dirty) page is never clobbered.
+    std::shared_ptr<char[]> frame = NewPageFrame();
+    opts.disk->ReadData(ino(), idx * kPageSize, kPageSize, frame.get());
+    if (opts.page_cache->InsertIfAbsent(this, idx, std::move(frame))) {
+      ++fetched;
     }
-    opts.disk->ReadData(ino(), idx * kPageSize, kPageSize, page);
-    opts.page_cache->StorePage(this, idx, page, /*dirty=*/false);
-    ++fetched;
   }
   if (fetched > 0) {
     opts.disk->ChargeRead(static_cast<uint64_t>(fetched) * kPageSize, 1);

@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
+
 #include "src/analysis/lockdep.h"
 
 namespace cntr::kernel {
 
 namespace {
 constexpr int64_t kPageBytes = kPageSize;
+
+// Intrusive ring plumbing over a shard's node array; `field` picks the ring
+// (LRU, slice or dirty), each closed by a sentinel node.
+template <typename Nodes, typename Field>
+void LinkAfter(Nodes& nodes, Field field, uint32_t at, uint32_t id) {
+  uint32_t next = (nodes[at].*field).next;
+  (nodes[id].*field).prev = at;
+  (nodes[id].*field).next = next;
+  (nodes[next].*field).prev = id;
+  (nodes[at].*field).next = id;
+}
+
+template <typename Nodes, typename Field>
+void Unlink(Nodes& nodes, Field field, uint32_t id) {
+  auto link = nodes[id].*field;
+  (nodes[link.prev].*field).next = link.next;
+  (nodes[link.next].*field).prev = link.prev;
+}
 }  // namespace
 
 PageCachePool::PageCachePool(SimClock* clock, const CostModel* costs,
@@ -36,76 +56,84 @@ PageCachePool::PageCachePool(SimClock* clock, const CostModel* costs,
 
 bool PageCachePool::ReadPage(CacheOwner owner, uint64_t idx, char* out) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  Page* page = FindLocked(shard, key);
-  if (page == nullptr) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone) {
     misses_->Add();
     return false;
   }
   hits_->Add();
   clock_->Advance(costs_->page_cache_hit_ns);
-  std::memcpy(out, page->data.get(), kPageSize);
-  TouchLocked(shard, *page);
+  std::memcpy(out, shard.nodes[id].data.get(), kPageSize);
+  TouchLocked(shard, id);
   return true;
 }
 
 bool PageCachePool::HasPage(CacheOwner owner, uint64_t idx) const {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  return FindLocked(shard, key) != nullptr;
+  return FindLocked(shard, key, tag) != kNone;
 }
 
 bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, bool dirty) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  Page* page = FindLocked(shard, key);
-  if (page == nullptr) {
-    auto fresh = std::make_shared<char[]>(kPageSize);
+  NodeId id = FindLocked(shard, key, tag);
+  bool newly_dirty = dirty;
+  if (id == kNone) {
+    std::shared_ptr<char[]> fresh = NewPageFrame();
     std::memcpy(fresh.get(), data, kPageSize);
-    InsertLocked(shard, key, std::move(fresh), dirty);
+    InsertLocked(shard, key, tag, std::move(fresh), dirty);
   } else {
-    EnsureExclusiveLocked(*page, /*preserve_content=*/false);
-    std::memcpy(page->data.get(), data, kPageSize);
-    bool was_dirty = page->dirty;
-    page->dirty = page->dirty || dirty;
-    if (dirty) {
-      ++page->gen;
-    }
-    TouchLocked(shard, *page);
-    if (was_dirty) {
-      dirty = false;  // already accounted
-    } else if (dirty) {
-      ++shard.owners[owner].dirty;
-      dirty_bytes_->Add(kPageBytes);
-    }
+    Node& page = shard.nodes[id];
+    EnsureExclusiveLocked(page, /*preserve_content=*/false);
+    std::memcpy(page.data.get(), data, kPageSize);
+    newly_dirty = RewriteLocked(shard, id, dirty);
   }
   EvictIfNeededLocked(shard);
-  return dirty;
+  return newly_dirty;
+}
+
+bool PageCachePool::InsertIfAbsent(CacheOwner owner, uint64_t idx,
+                                   std::shared_ptr<char[]> frame) {
+  Key key{owner, idx};
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
+  std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+  if (FindLocked(shard, key, tag) != kNone) {
+    return false;  // never clobber a resident (possibly newer, possibly dirty) page
+  }
+  InsertLocked(shard, key, tag, std::move(frame), /*dirty=*/false);
+  EvictIfNeededLocked(shard);
+  return true;
 }
 
 PageCachePool::UpdateResult PageCachePool::UpdatePage(CacheOwner owner, uint64_t idx,
                                                       uint32_t off, uint32_t len,
                                                       const char* src, bool mark_dirty) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  Page* page = FindLocked(shard, key);
-  if (page == nullptr) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone) {
     return UpdateResult::kNotResident;
   }
-  EnsureExclusiveLocked(*page, /*preserve_content=*/true);
-  std::memcpy(page->data.get() + off, src, len);
-  TouchLocked(shard, *page);
+  Node& page = shard.nodes[id];
+  EnsureExclusiveLocked(page, /*preserve_content=*/true);
+  std::memcpy(page.data.get() + off, src, len);
+  TouchLocked(shard, id);
   if (mark_dirty) {
-    ++page->gen;
+    ++page.gen;
   }
-  if (mark_dirty && !page->dirty) {
-    page->dirty = true;
-    ++shard.owners[owner].dirty;
-    dirty_bytes_->Add(kPageBytes);
+  if (mark_dirty && !page.dirty) {
+    MarkDirtyLocked(shard, id);
     return UpdateResult::kNewlyDirty;
   }
   return UpdateResult::kUpdated;
@@ -116,20 +144,23 @@ uint64_t PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
   // Zero the partial tail of the boundary page.
   if (new_size % kPageSize != 0) {
     Key key{owner, new_size / kPageSize};
-    Shard& shard = ShardFor(key);
+    uint32_t tag = 0;
+    Shard& shard = ShardFor(key, &tag);
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    if (Page* page = FindLocked(shard, key)) {
+    if (NodeId id = FindLocked(shard, key, tag); id != kNone) {
+      Node& page = shard.nodes[id];
       uint32_t keep = static_cast<uint32_t>(new_size % kPageSize);
-      EnsureExclusiveLocked(*page, /*preserve_content=*/true);
-      std::memset(page->data.get() + keep, 0, kPageSize - keep);
+      EnsureExclusiveLocked(page, /*preserve_content=*/true);
+      std::memset(page.data.get() + keep, 0, kPageSize - keep);
     }
   }
   // Drop whole pages past the new end (the owner's pages are spread over
   // every shard, so each stripe's slice of the owner is visited).
+  SliceKey slice = SliceKeyOf(owner);
   uint64_t dirty_pages = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    dirty_pages += DropFromLocked(shard, owner, first_dropped);
+    dirty_pages += DropFromLocked(shard, slice, first_dropped);
   }
   return dirty_pages * kPageSize;
 }
@@ -140,44 +171,36 @@ bool PageCachePool::MarkClean(CacheOwner owner, uint64_t idx) {
 
 bool PageCachePool::MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto oit = shard.owners.find(owner);
-  if (oit == shard.owners.end()) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone || !shard.nodes[id].dirty) {
     return false;
   }
-  auto pit = oit->second.pages.find(idx);
-  if (pit == oit->second.pages.end() || !pit->second.dirty) {
-    return false;
-  }
-  if (gen != UINT64_MAX && pit->second.gen != gen) {
+  if (gen != UINT64_MAX && shard.nodes[id].gen != gen) {
     return false;  // re-dirtied since the flusher's snapshot: stays dirty
   }
-  pit->second.dirty = false;
-  --oit->second.dirty;
-  dirty_bytes_->Add(-kPageBytes);
+  MarkCleanLocked(shard, id);
   return true;
 }
 
 void PageCachePool::Drop(CacheOwner owner, uint64_t idx) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto oit = shard.owners.find(owner);
-  if (oit == shard.owners.end()) {
-    return;
-  }
-  auto pit = oit->second.pages.find(idx);
-  if (pit != oit->second.pages.end()) {
-    EraseLocked(shard, oit, pit);
+  if (NodeId id = FindLocked(shard, key, tag); id != kNone) {
+    EraseLocked(shard, id);
   }
 }
 
 uint64_t PageCachePool::DropAll(CacheOwner owner) {
+  SliceKey slice = SliceKeyOf(owner);
   uint64_t dirty_pages = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    dirty_pages += DropFromLocked(shard, owner, 0);
+    dirty_pages += DropFromLocked(shard, slice, 0);
   }
   return dirty_pages * kPageSize;
 }
@@ -185,35 +208,29 @@ uint64_t PageCachePool::DropAll(CacheOwner owner) {
 void PageCachePool::DropAllClean() {
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (auto oit = shard.owners.begin(); oit != shard.owners.end();) {
-      auto& pages = oit->second.pages;
-      for (auto pit = pages.begin(); pit != pages.end();) {
-        if (!pit->second.dirty) {
-          shard.lru.erase(pit->second.lru_it);
-          pit = pages.erase(pit);
-          resident_bytes_->Add(-kPageBytes);
-        } else {
-          ++pit;
-        }
+    for (NodeId id = shard.nodes[kNone].lru.next; id != kNone;) {
+      NodeId next = shard.nodes[id].lru.next;
+      if (!shard.nodes[id].dirty) {
+        EraseLocked(shard, id);
       }
-      oit = pages.empty() ? shard.owners.erase(oit) : std::next(oit);
+      id = next;
     }
   }
 }
 
 std::vector<uint64_t> PageCachePool::DirtyPages(CacheOwner owner) const {
+  SliceKey slice = SliceKeyOf(owner);
   std::vector<uint64_t> out;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto oit = shard.owners.find(owner);
-    if (oit == shard.owners.end() || oit->second.dirty == 0) {
+    NodeId head = FindSliceLocked(shard, slice);
+    if (head == kNone || shard.nodes[head].dirty_pages == 0) {
       continue;
     }
-    out.reserve(out.size() + oit->second.dirty);
-    for (const auto& [idx, page] : oit->second.pages) {
-      if (page.dirty) {
-        out.push_back(idx);
-      }
+    out.reserve(out.size() + shard.nodes[head].dirty_pages);
+    for (NodeId id = shard.nodes[head].dirty_ring.next; id != head;
+         id = shard.nodes[id].dirty_ring.next) {
+      out.push_back(shard.nodes[id].key.idx);
     }
   }
   std::sort(out.begin(), out.end());
@@ -223,26 +240,27 @@ std::vector<uint64_t> PageCachePool::DirtyPages(CacheOwner owner) const {
 bool PageCachePool::PeekPage(CacheOwner owner, uint64_t idx, char* out,
                              uint64_t* gen_out) const {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  const Page* page = FindLocked(shard, key);
-  if (page == nullptr) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone) {
     return false;
   }
-  std::memcpy(out, page->data.get(), kPageSize);
+  std::memcpy(out, shard.nodes[id].data.get(), kPageSize);
   if (gen_out != nullptr) {
-    *gen_out = page->gen;
+    *gen_out = shard.nodes[id].gen;
   }
   return true;
 }
 
 uint64_t PageCachePool::DirtyBytes(CacheOwner owner) const {
+  SliceKey slice = SliceKeyOf(owner);
   uint64_t total = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto oit = shard.owners.find(owner);
-    if (oit != shard.owners.end()) {
-      total += oit->second.dirty * kPageSize;
+    if (NodeId head = FindSliceLocked(shard, slice); head != kNone) {
+      total += uint64_t{shard.nodes[head].dirty_pages} * kPageSize;
     }
   }
   return total;
@@ -252,9 +270,18 @@ uint64_t PageCachePool::ResidentBytes() const {
   uint64_t total = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (const auto& [owner, slice] : shard.owners) {
-      total += slice.pages.size() * kPageSize;
+    for (NodeId id = shard.nodes[kNone].lru.next; id != kNone; id = shard.nodes[id].lru.next) {
+      total += kPageSize;
     }
+  }
+  return total;
+}
+
+size_t PageCachePool::IndexEntries() const {
+  size_t total = 0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+    total += shard.used;
   }
   return total;
 }
@@ -262,168 +289,232 @@ uint64_t PageCachePool::ResidentBytes() const {
 std::optional<splice::PageRef> PageCachePool::GetPageRef(CacheOwner owner, uint64_t idx,
                                                          uint64_t* gen_out) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  Page* page = FindLocked(shard, key);
-  if (page == nullptr) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone) {
     misses_->Add();
     return std::nullopt;
   }
   hits_->Add();
   // The remap out of the cache, not a copy: splice rate, not hit+copy.
   clock_->Advance(costs_->splice_page_ns);
-  TouchLocked(shard, *page);
+  TouchLocked(shard, id);
   splice::PageRef ref;
-  ref.page = page->data;
+  ref.page = shard.nodes[id].data;
   ref.len = kPageSize;
   if (gen_out != nullptr) {
-    *gen_out = page->gen;
+    *gen_out = shard.nodes[id].gen;
   }
   return ref;
+}
+
+std::shared_ptr<char[]> PageCachePool::AdoptRef(const splice::PageRef& ref, bool allow_alias,
+                                                StoreRefMode* mode) {
+  if (ref.valid() && ref.len == kPageSize && ref.unique()) {
+    *mode = StoreRefMode::kStolen;
+    ref_steals_->Add();
+    return ref.page;
+  }
+  if (ref.valid() && ref.len == kPageSize && allow_alias) {
+    *mode = StoreRefMode::kAliased;
+    ref_aliases_->Add();
+    return ref.page;
+  }
+  // Copy fallback: short page, or shared without alias permission.
+  std::shared_ptr<char[]> copy = NewPageFrame();
+  uint32_t len = ref.valid() ? ref.len : 0;
+  if (len > 0) {
+    std::memcpy(copy.get(), ref.data(), len);
+  }
+  std::memset(copy.get() + len, 0, kPageSize - len);
+  *mode = StoreRefMode::kCopied;
+  ref_copies_->Add();
+  return copy;
 }
 
 PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint64_t idx,
                                                           const splice::PageRef& ref, bool dirty,
                                                           bool allow_alias) {
   StoreRefResult result;
-  std::shared_ptr<char[]> install;
-  if (ref.valid() && ref.len == kPageSize && ref.unique()) {
-    install = ref.page;
-    result.mode = StoreRefMode::kStolen;
-    ref_steals_->Add();
-  } else if (ref.valid() && ref.len == kPageSize && allow_alias) {
-    install = ref.page;
-    result.mode = StoreRefMode::kAliased;
-    ref_aliases_->Add();
-  } else {
-    // Copy fallback: short page, or shared without alias permission.
-    install = std::make_shared<char[]>(kPageSize);
-    if (ref.valid()) {
-      std::memcpy(install.get(), ref.data(), ref.len);
-    }
-    result.mode = StoreRefMode::kCopied;
-    ref_copies_->Add();
-  }
+  std::shared_ptr<char[]> install = AdoptRef(ref, allow_alias, &result.mode);
 
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  Page* page = FindLocked(shard, key);
-  bool count_dirty = dirty;
-  if (page == nullptr) {
-    InsertLocked(shard, key, std::move(install), dirty);
+  NodeId id = FindLocked(shard, key, tag);
+  result.newly_dirty = dirty;
+  if (id == kNone) {
+    InsertLocked(shard, key, tag, std::move(install), dirty);
   } else {
-    page->data = std::move(install);
-    bool was_dirty = page->dirty;
-    page->dirty = page->dirty || dirty;
-    if (dirty) {
-      ++page->gen;
-    }
-    TouchLocked(shard, *page);
-    if (was_dirty) {
-      count_dirty = false;  // already accounted
-    } else if (dirty) {
-      ++shard.owners[owner].dirty;
-      dirty_bytes_->Add(kPageBytes);
-    }
+    shard.nodes[id].data = std::move(install);
+    result.newly_dirty = RewriteLocked(shard, id, dirty);
   }
   EvictIfNeededLocked(shard);
-  result.newly_dirty = count_dirty;
   return result;
+}
+
+std::optional<PageCachePool::StoreRefMode> PageCachePool::InsertRefIfAbsent(
+    CacheOwner owner, uint64_t idx, const splice::PageRef& ref, bool allow_alias) {
+  Key key{owner, idx};
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
+  std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+  if (FindLocked(shard, key, tag) != kNone) {
+    return std::nullopt;
+  }
+  StoreRefMode mode = StoreRefMode::kCopied;
+  InsertLocked(shard, key, tag, AdoptRef(ref, allow_alias, &mode), /*dirty=*/false);
+  EvictIfNeededLocked(shard);
+  return mode;
 }
 
 std::optional<splice::PageRef> PageCachePool::StealPage(CacheOwner owner, uint64_t idx) {
   Key key{owner, idx};
-  Shard& shard = ShardFor(key);
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-  auto oit = shard.owners.find(owner);
-  if (oit == shard.owners.end()) {
-    return std::nullopt;
-  }
-  auto pit = oit->second.pages.find(idx);
-  if (pit == oit->second.pages.end() || pit->second.dirty) {
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone || shard.nodes[id].dirty) {
     return std::nullopt;  // absent, or pinned by writeback
   }
   splice::PageRef ref;
-  ref.page = std::move(pit->second.data);
+  ref.page = std::move(shard.nodes[id].data);
   ref.len = kPageSize;
-  EraseLocked(shard, oit, pit);
+  EraseLocked(shard, id);
   ref_steals_->Add();
   clock_->Advance(costs_->splice_page_ns);
   return ref;
 }
 
-PageCachePool::Page* PageCachePool::FindLocked(Shard& shard, const Key& key) {
-  auto oit = shard.owners.find(key.owner);
-  if (oit == shard.owners.end()) {
-    return nullptr;
+PageCachePool::NodeId PageCachePool::FindLocked(const Shard& shard, const Key& key,
+                                                uint32_t tag) {
+  size_t mask = shard.slots.size() - 1;
+  for (size_t pos = tag >> shard.shift;; pos = (pos + 1) & mask) {
+    const Slot& slot = shard.slots[pos];
+    if (slot.node == kNone) {
+      return kNone;
+    }
+    if (slot.tag == tag) {
+      const Key& at = shard.nodes[slot.node].key;
+      if (at.owner == key.owner && at.idx == key.idx) {
+        return slot.node;
+      }
+    }
   }
-  auto pit = oit->second.pages.find(key.idx);
-  return pit == oit->second.pages.end() ? nullptr : &pit->second;
 }
 
-void PageCachePool::InsertLocked(Shard& shard, const Key& key, std::shared_ptr<char[]> data,
-                                 bool dirty) {
-  OwnerPages& slice = shard.owners[key.owner];
-  Page& page = slice.pages[key.idx];
+PageCachePool::SliceKey PageCachePool::SliceKeyOf(CacheOwner owner) {
+  Key key{owner, kSliceIdx};
+  return SliceKey{key, static_cast<uint32_t>(static_cast<uint64_t>(KeyHash()(key)) >> 32)};
+}
+
+void PageCachePool::InsertLocked(Shard& shard, const Key& key, uint32_t tag,
+                                 std::shared_ptr<char[]> data, bool dirty) {
+  SliceKey slice = SliceKeyOf(key.owner);
+  NodeId head = FindSliceLocked(shard, slice);
+  if (head == kNone) {
+    head = AllocNodeLocked(shard);
+    Node& node = shard.nodes[head];
+    node.key = slice.key;
+    node.tag = slice.tag;
+    node.slice = {head, head};
+    node.dirty_ring = {head, head};
+    PlaceLocked(shard, slice.tag, head);
+  }
+  NodeId id = AllocNodeLocked(shard);
+  Node& page = shard.nodes[id];  // no node allocation below: the reference stays valid
+  page.key = key;
+  page.tag = tag;
   page.data = std::move(data);
-  page.dirty = dirty;
   page.gen = dirty ? 1 : 0;
-  shard.lru.push_front(key);
-  page.lru_it = shard.lru.begin();
+  page.head = head;
+  LinkAfter(shard.nodes, &Node::lru, kNone, id);
+  LinkAfter(shard.nodes, &Node::slice, head, id);
+  PlaceLocked(shard, tag, id);
+  ++shard.resident;
   resident_bytes_->Add(kPageBytes);
   if (dirty) {
-    ++slice.dirty;
-    dirty_bytes_->Add(kPageBytes);
+    MarkDirtyLocked(shard, id);
   }
 }
 
-void PageCachePool::EraseLocked(Shard& shard, OwnerMap::iterator oit,
-                                std::map<uint64_t, Page>::iterator pit) {
-  if (pit->second.dirty) {
-    --oit->second.dirty;
-    dirty_bytes_->Add(-kPageBytes);
+void PageCachePool::EraseLocked(Shard& shard, NodeId id) {
+  if (shard.nodes[id].dirty) {
+    MarkCleanLocked(shard, id);
   }
-  shard.lru.erase(pit->second.lru_it);
-  oit->second.pages.erase(pit);
+  NodeId head = shard.nodes[id].head;
+  Unlink(shard.nodes, &Node::lru, id);
+  Unlink(shard.nodes, &Node::slice, id);
+  UnplaceLocked(shard, shard.nodes[id].tag, id);
+  FreeNodeLocked(shard, id);
+  --shard.resident;
   resident_bytes_->Add(-kPageBytes);
-  if (oit->second.pages.empty()) {
-    shard.owners.erase(oit);
+  if (shard.nodes[head].slice.next == head) {  // the owner's last page in this shard
+    UnplaceLocked(shard, shard.nodes[head].tag, head);
+    FreeNodeLocked(shard, head);
   }
 }
 
-uint64_t PageCachePool::DropFromLocked(Shard& shard, CacheOwner owner, uint64_t first) {
-  auto oit = shard.owners.find(owner);
-  if (oit == shard.owners.end()) {
+void PageCachePool::MarkDirtyLocked(Shard& shard, NodeId id) {
+  Node& page = shard.nodes[id];
+  page.dirty = true;
+  LinkAfter(shard.nodes, &Node::dirty_ring, page.head, id);
+  ++shard.nodes[page.head].dirty_pages;
+  dirty_bytes_->Add(kPageBytes);
+}
+
+void PageCachePool::MarkCleanLocked(Shard& shard, NodeId id) {
+  Node& page = shard.nodes[id];
+  page.dirty = false;
+  Unlink(shard.nodes, &Node::dirty_ring, id);
+  --shard.nodes[page.head].dirty_pages;
+  dirty_bytes_->Add(-kPageBytes);
+}
+
+bool PageCachePool::RewriteLocked(Shard& shard, NodeId id, bool dirty) {
+  Node& page = shard.nodes[id];
+  if (dirty) {
+    ++page.gen;
+  }
+  TouchLocked(shard, id);
+  if (!dirty || page.dirty) {
+    return false;  // clean store, or already accounted
+  }
+  MarkDirtyLocked(shard, id);
+  return true;
+}
+
+uint64_t PageCachePool::DropFromLocked(Shard& shard, const SliceKey& slice, uint64_t first) {
+  NodeId head = FindSliceLocked(shard, slice);
+  if (head == kNone) {
     return 0;
   }
-  auto& pages = oit->second.pages;
-  uint64_t dropped = 0;
+  // Erasing the slice's last page frees the head too; that page's successor
+  // is the head, so the walk ends there.
   uint64_t dirty = 0;
-  auto from = pages.lower_bound(first);
-  for (auto pit = from; pit != pages.end(); ++pit) {
-    shard.lru.erase(pit->second.lru_it);
-    ++dropped;
-    dirty += pit->second.dirty ? 1 : 0;
-  }
-  pages.erase(from, pages.end());
-  resident_bytes_->Add(-static_cast<int64_t>(dropped) * kPageBytes);
-  dirty_bytes_->Add(-static_cast<int64_t>(dirty) * kPageBytes);
-  oit->second.dirty -= dirty;
-  if (pages.empty()) {
-    shard.owners.erase(oit);
+  for (NodeId id = shard.nodes[head].slice.next; id != head;) {
+    NodeId next = shard.nodes[id].slice.next;
+    if (shard.nodes[id].key.idx >= first) {
+      dirty += shard.nodes[id].dirty ? 1 : 0;
+      EraseLocked(shard, id);
+    }
+    id = next;
   }
   return dirty;
 }
 
-void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
+void PageCachePool::EnsureExclusiveLocked(Node& page, bool preserve_content) {
   if (page.data.use_count() <= 1) {
     return;
   }
   // An outside splice reference holds this buffer: writing in place would
   // mutate payload already handed out. Break the sharing with a private
-  // copy — the real cost of a failed page reuse.
-  auto fresh = std::make_shared<char[]>(kPageSize);
+  // copy — the real cost of a failed page reuse. Without preserve_content
+  // the caller overwrites the whole page.
+  std::shared_ptr<char[]> fresh = NewPageFrame();
   if (preserve_content) {
     std::memcpy(fresh.get(), page.data.get(), kPageSize);
   }
@@ -432,35 +523,95 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
   clock_->Advance(costs_->copy_page_ns);
 }
 
-void PageCachePool::TouchLocked(Shard& shard, Page& page) {
-  shard.lru.splice(shard.lru.begin(), shard.lru, page.lru_it);
-  page.lru_it = shard.lru.begin();
+void PageCachePool::TouchLocked(Shard& shard, NodeId id) {
+  if (shard.nodes[kNone].lru.next != id) {
+    Unlink(shard.nodes, &Node::lru, id);
+    LinkAfter(shard.nodes, &Node::lru, kNone, id);
+  }
 }
 
 void PageCachePool::EvictIfNeededLocked(Shard& shard) {
-  while (shard.lru.size() * kPageSize > capacity_per_shard_) {
-    // Scan from the cold end for a clean victim; dirty pages are pinned.
-    auto victim = shard.lru.end();
-    bool found = false;
+  while (shard.resident * kPageSize > capacity_per_shard_) {
+    // Scan up to 129 pages from the cold end for a clean victim; dirty
+    // pages are pinned.
+    NodeId victim = kNone;
     size_t scanned = 0;
-    for (auto it = std::prev(shard.lru.end());; --it) {
-      Page* page = FindLocked(shard, *it);
-      if (page != nullptr && !page->dirty) {
-        victim = it;
-        found = true;
+    for (NodeId id = shard.nodes[kNone].lru.prev; id != kNone; id = shard.nodes[id].lru.prev) {
+      if (!shard.nodes[id].dirty) {
+        victim = id;
         break;
       }
-      if (++scanned > 128 || it == shard.lru.begin()) {
+      if (++scanned > 128) {
         break;  // all-cold pages dirty: allow transient overshoot
       }
     }
-    if (!found) {
+    if (victim == kNone) {
       return;
     }
-    auto oit = shard.owners.find(victim->owner);
-    EraseLocked(shard, oit, oit->second.pages.find(victim->idx));
+    EraseLocked(shard, victim);
     evictions_->Add();
   }
+}
+
+PageCachePool::NodeId PageCachePool::AllocNodeLocked(Shard& shard) {
+  if (shard.free != kNone) {
+    NodeId id = shard.free;
+    shard.free = shard.nodes[id].lru.next;
+    shard.nodes[id].lru = {};
+    return id;
+  }
+  shard.nodes.emplace_back();
+  return static_cast<NodeId>(shard.nodes.size() - 1);
+}
+
+void PageCachePool::FreeNodeLocked(Shard& shard, NodeId id) {
+  shard.nodes[id] = Node{};  // releases the page buffer now
+  shard.nodes[id].lru.next = shard.free;
+  shard.free = id;
+}
+
+size_t PageCachePool::FreeSlotLocked(const Shard& shard, uint32_t tag) {
+  size_t mask = shard.slots.size() - 1;
+  size_t pos = tag >> shard.shift;
+  while (shard.slots[pos].node != kNone) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+void PageCachePool::PlaceLocked(Shard& shard, uint32_t tag, NodeId id) {
+  if ((shard.used + 1) * 2 > shard.slots.size()) {
+    std::vector<Slot> old =
+        std::exchange(shard.slots, std::vector<Slot>(shard.slots.size() * 2));
+    --shard.shift;
+    for (const Slot& slot : old) {
+      if (slot.node != kNone) {
+        shard.slots[FreeSlotLocked(shard, slot.tag)] = slot;
+      }
+    }
+  }
+  shard.slots[FreeSlotLocked(shard, tag)] = Slot{id, tag};
+  ++shard.used;
+}
+
+void PageCachePool::UnplaceLocked(Shard& shard, uint32_t tag, NodeId id) {
+  size_t mask = shard.slots.size() - 1;
+  size_t hole = tag >> shard.shift;
+  while (shard.slots[hole].node != id) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift: pull each later entry of the run into the hole unless
+  // its home lies after the hole (then moving it would hide it from its
+  // own probe run).
+  for (size_t pos = (hole + 1) & mask; shard.slots[pos].node != kNone; pos = (pos + 1) & mask) {
+    size_t home = shard.slots[pos].tag >> shard.shift;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      shard.slots[hole] = shard.slots[pos];
+      hole = pos;
+    }
+  }
+  shard.slots[hole] = Slot{};
+  --shard.used;
 }
 
 uint32_t CountExtents(const std::vector<uint64_t>& sorted_pages) {

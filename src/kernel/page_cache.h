@@ -8,18 +8,38 @@
 // the shared capacity.
 //
 // Concurrency: the pool is lock-striped into shards keyed by (owner, page
-// index) hash, each with its own mutex, page index and LRU list, so parallel
-// readers/writers (the Figure 4 multithreading path) do not serialize on a
-// single pool mutex. Capacity and eviction are likewise per shard.
+// index) hash, each with its own mutex, index, LRU list and capacity slice,
+// so parallel readers/writers (the Figure 4 multithreading path) do not
+// serialize on a single pool mutex.
 //
-// Per-owner index: inside a shard, pages are filed by owner — each owner
-// maps to its pages in index order plus its dirty-page count, the slice of
-// Linux's per-inode address_space that lives in this stripe. Single-page
-// operations cost one owner lookup plus O(log owner's pages in the shard).
+// Flat index: each shard keeps one open-addressing table keyed by
+// (owner, index) -> page node (linear probing, backward-shift deletion, at
+// most half full). A slot holds the node number and the upper half of the
+// key's hash, so a probe run compares slots until the tag matches and then
+// reads one node: a lookup is one probe run, with no per-owner map in
+// front of it. Page nodes live in a per-shard array and are recycled
+// through a free list; their links are intrusive:
+//  * the shard LRU is a ring through each node, so eviction takes the cold
+//    end's node directly and erases it by its stored tag;
+//  * an owner's pages in the shard form a ring through a slice head node,
+//    filed in the same table under (owner, kSliceIdx); the head also holds
+//    the slice's dirty-page count;
+//  * the slice's dirty pages form a second ring through the head, so
+//    DirtyPages costs O(dirty pages), not O(resident pages).
 // The per-owner operations (DropAll, TruncatePages, DirtyPages, DirtyBytes)
-// visit each shard once and touch only that owner's pages, so dropping an
-// inode costs O(shards + its own pages), not O(every resident page). Only
-// DropAllClean and ResidentBytes sweep the whole cache.
+// probe each shard's slice head once and touch only that owner's pages, so
+// dropping an inode costs O(shards + its own pages). Only DropAllClean and
+// ResidentBytes sweep the whole cache. InsertIfAbsent and
+// InsertRefIfAbsent let read fills install a clean page with one call
+// instead of a HasPage probe followed by a store.
+//
+// What the index does not change: the shard choice (KeyHash % shards), each
+// shard's LRU order (inserts and touches go to the front), the eviction
+// scan (up to 129 entries from the cold end for a clean victim), the
+// capacity per shard, and every SimClock charge, counter and gauge update
+// sit where they did with the earlier map-based index. Which page is
+// resident, and what each call costs in virtual time, is therefore the same
+// for any sequence of calls; only the host time spent finding pages moved.
 //
 // Eviction policy: clean pages are evicted LRU; dirty pages are pinned until
 // their owner flushes them (owners flush on fsync, on dirty thresholds, and
@@ -34,13 +54,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/kernel/types.h"
@@ -55,6 +71,12 @@ namespace cntr::kernel {
 // Identifies the cache space of one file: owners are file objects (MemFs
 // inodes, FUSE inodes); any stable pointer works.
 using CacheOwner = const void*;
+
+// A fresh page buffer, not zeroed: the caller fills all kPageSize bytes
+// (a disk read, a reply payload) before the cache adopts it.
+inline std::shared_ptr<char[]> NewPageFrame() {
+  return std::make_shared_for_overwrite<char[]>(kPageSize);
+}
 
 class PageCachePool {
  public:
@@ -72,6 +94,14 @@ class PageCachePool {
   // Returns true if the page transitioned clean->dirty (or was inserted
   // dirty), so owners can keep exact dirty-byte accounting.
   bool StorePage(CacheOwner owner, uint64_t idx, const char* data, bool dirty);
+
+  // Insert-if-absent for clean fills (readahead from disk, a FUSE READ
+  // reply): installs `frame`, a full page the caller filled and holds
+  // alone, as a clean page at the LRU head. When the page is already
+  // resident — possibly newer, possibly dirty — it is left as it is (no LRU
+  // touch) and false is returned. May evict clean LRU pages; no cost is
+  // charged and no counter moves.
+  bool InsertIfAbsent(CacheOwner owner, uint64_t idx, std::shared_ptr<char[]> frame);
 
   enum class UpdateResult { kNotResident, kUpdated, kNewlyDirty };
   // Updates [off, off+len) of a page if resident; marks dirty when asked.
@@ -142,6 +172,11 @@ class PageCachePool {
   };
   StoreRefResult StorePageRef(CacheOwner owner, uint64_t idx, const splice::PageRef& ref,
                               bool dirty, bool allow_alias);
+  // StorePageRef's clean insert-if-absent form (a spliced READ reply): a
+  // resident page is left as it is and nullopt is returned, with no ref
+  // counter moved; otherwise the ref installs clean as StorePageRef would.
+  std::optional<StoreRefMode> InsertRefIfAbsent(CacheOwner owner, uint64_t idx,
+                                                const splice::PageRef& ref, bool allow_alias);
 
   // Removes a resident page from the cache and hands it out as a reference
   // (the donor half of a page-steal: the source cache entry is gone, like
@@ -152,8 +187,13 @@ class PageCachePool {
   uint64_t DirtyBytes(CacheOwner owner) const;
   // One gauge load: writeback-threshold checks poll it on the write path.
   uint64_t TotalDirtyBytes() const { return static_cast<uint64_t>(dirty_bytes_->Value()); }
-  // Sweeps every shard (the reference the resident-bytes gauge must match).
+  // Walks every shard's LRU ring (the reference the resident-bytes gauge
+  // must match).
   uint64_t ResidentBytes() const;
+  // Occupied index slots over every shard: resident pages plus one slice
+  // head per (owner, shard) with pages there. Reads 0 once every owner is
+  // dropped, so tests can tell that no node outlived its page.
+  size_t IndexEntries() const;
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   size_t num_shards() const { return shards_.size(); }
 
@@ -192,54 +232,114 @@ class PageCachePool {
                          static_cast<size_t>(k.idx));
     }
   };
-  struct Page {
+  // Node numbers index a shard's node array. Node 0 is the sentinel of the
+  // shard's LRU ring and never a page, so 0 also marks an empty slot, an
+  // empty free list and "no node".
+  using NodeId = uint32_t;
+  static constexpr NodeId kNone = 0;
+  // The index a slice head is filed under; page indexes (byte offsets /
+  // kPageSize) never reach it.
+  static constexpr uint64_t kSliceIdx = UINT64_MAX;
+
+  struct Link {
+    NodeId prev = kNone;
+    NodeId next = kNone;
+  };
+  // A resident page, or the head of an owner's slice (key.idx == kSliceIdx).
+  struct Node {
+    Key key{};
     // Shared so splice references can alias the cached buffer; mutators
-    // must go through EnsureExclusiveLocked (COW) first.
+    // must go through EnsureExclusiveLocked (COW) first. Null on slice
+    // heads and free nodes.
     std::shared_ptr<char[]> data;
-    bool dirty = false;
     // Bumped every time dirty content lands on the page; lets concurrent
     // writeback detect re-dirtying between snapshot and MarkCleanIfGen.
     uint64_t gen = 0;
-    std::list<Key>::iterator lru_it;
+    Link lru;    // pages: the shard's LRU ring; free nodes: lru.next chains the free list
+    Link slice;  // pages: the owner's slice ring, through its head (the sentinel)
+    Link dirty_ring;  // dirty pages: the slice's dirty ring, through its head
+    uint32_t tag = 0;          // the key's slot tag (see Slot)
+    NodeId head = kNone;       // pages: their slice head
+    uint32_t dirty_pages = 0;  // slice heads: dirty pages in the slice
+    bool dirty = false;
   };
-
-  // One owner's pages in one shard, in index order, and how many of them
-  // are dirty.
-  struct OwnerPages {
-    std::map<uint64_t, Page> pages;
-    size_t dirty = 0;
+  // One index slot. `tag` is the upper half of the key's hash: a probe
+  // compares it before reading the node, and tag >> Shard::shift is the
+  // slot where the key's probe run starts (its home).
+  struct Slot {
+    NodeId node = kNone;
+    uint32_t tag = 0;
   };
-  using OwnerMap = std::unordered_map<CacheOwner, OwnerPages>;
+  static constexpr uint32_t kMinSlotBits = 3;
 
-  // One lock stripe with its own per-owner index, LRU list and capacity
-  // slice; padded so neighbouring shard locks do not false-share.
+  // One lock stripe with its own index, LRU ring and capacity slice; padded
+  // so neighbouring shard locks do not false-share.
   struct alignas(64) Shard {
     mutable analysis::CheckedMutex mu{"kernel.pagecache.shard"};
-    // An owner's entry goes away with its last page in this shard.
-    OwnerMap owners;
-    std::list<Key> lru;  // front = most recent; one entry per resident page
+    std::vector<Slot> slots = std::vector<Slot>(size_t{1} << kMinSlotBits);  // at most half full
+    uint32_t shift = 32 - kMinSlotBits;  // 32 - log2(slots.size())
+    size_t used = 0;                     // occupied slots: pages and slice heads
+    std::vector<Node> nodes = std::vector<Node>(1);  // [0]: LRU sentinel, next = most recent
+    NodeId free = kNone;                 // recycled nodes
+    size_t resident = 0;                 // pages (slice heads are not resident)
   };
 
-  Shard& ShardFor(const Key& key) const {
-    return shards_[KeyHash()(key) % shards_.size()];
+  // The key's shard; `tag` receives its slot tag.
+  Shard& ShardFor(const Key& key, uint32_t* tag) const {
+    uint64_t hash = KeyHash()(key);
+    *tag = static_cast<uint32_t>(hash >> 32);
+    return shards_[hash % shards_.size()];
   }
+  // An owner's slice-head key and its slot tag: the head is filed in every
+  // shard the owner has pages in, whatever shard the key would hash to, so
+  // a call that visits every shard computes this once.
+  struct SliceKey {
+    Key key;
+    uint32_t tag;
+  };
+  static SliceKey SliceKeyOf(CacheOwner owner);
 
-  // The resident page for `key`, or null.
-  static Page* FindLocked(Shard& shard, const Key& key);
-  // Files a new page under `key` at the LRU head and accounts it.
-  void InsertLocked(Shard& shard, const Key& key, std::shared_ptr<char[]> data, bool dirty);
-  // Removes one page (LRU entry, gauges, the owner's dirty count, and the
-  // owner's entry once it is empty).
-  void EraseLocked(Shard& shard, OwnerMap::iterator oit, std::map<uint64_t, Page>::iterator pit);
+  // The node filed under `key`, or kNone: one probe run.
+  static NodeId FindLocked(const Shard& shard, const Key& key, uint32_t tag);
+  // The owner's slice head in this shard, or kNone.
+  static NodeId FindSliceLocked(const Shard& shard, const SliceKey& slice) {
+    return FindLocked(shard, slice.key, slice.tag);
+  }
+  // Files a new page under `key` at the LRU head and accounts it; the
+  // owner's first page in the shard also files its slice head.
+  void InsertLocked(Shard& shard, const Key& key, uint32_t tag, std::shared_ptr<char[]> data,
+                    bool dirty);
+  // Removes one page (its links, slot, node and gauges), and its slice head
+  // with the slice's last page.
+  void EraseLocked(Shard& shard, NodeId id);
+  // Flip a page's dirty bit: the slice's dirty ring and count, and the
+  // dirty gauge.
+  void MarkDirtyLocked(Shard& shard, NodeId id);
+  void MarkCleanLocked(Shard& shard, NodeId id);
+  // A resident page was rewritten: bumps its generation when `dirty`,
+  // marks it dirty and touches it. Returns true on a clean->dirty flip.
+  bool RewriteLocked(Shard& shard, NodeId id, bool dirty);
   // Drops `owner`'s pages with index >= `first` from one shard; returns how
   // many of them were dirty.
-  uint64_t DropFromLocked(Shard& shard, CacheOwner owner, uint64_t first);
-  void TouchLocked(Shard& shard, Page& page);
+  uint64_t DropFromLocked(Shard& shard, const SliceKey& slice, uint64_t first);
+  static void TouchLocked(Shard& shard, NodeId id);
   void EvictIfNeededLocked(Shard& shard);
   // Un-shares a page before mutation (COW break); charges a page copy when
   // outside references exist. `preserve_content` copies the old bytes into
   // the fresh page (partial updates need them; full overwrites do not).
-  void EnsureExclusiveLocked(Page& page, bool preserve_content);
+  void EnsureExclusiveLocked(Node& page, bool preserve_content);
+  // The buffer an install of `ref` adopts: the ref's own page when stolen
+  // or aliased, else a zero-padded copy. Sets `mode` and counts it.
+  std::shared_ptr<char[]> AdoptRef(const splice::PageRef& ref, bool allow_alias,
+                                   StoreRefMode* mode);
+
+  // Index plumbing: node recycling, and slot insert (growing the table
+  // before it passes half full) and backward-shift delete.
+  static NodeId AllocNodeLocked(Shard& shard);
+  static void FreeNodeLocked(Shard& shard, NodeId id);
+  static size_t FreeSlotLocked(const Shard& shard, uint32_t tag);
+  static void PlaceLocked(Shard& shard, uint32_t tag, NodeId id);
+  static void UnplaceLocked(Shard& shard, uint32_t tag, NodeId id);
 
   SimClock* clock_;
   const CostModel* costs_;
