@@ -2,14 +2,16 @@
 // from the virtual clock): per-op request latency through CntrFS vs the
 // native filesystem. Supporting data for Figure 2's per-workload analysis,
 // plus the READDIRPLUS before/after bars for the cold-tree-walk hot path.
-// Two page-cache cases, BM_InodeTeardown_ResidentCache and
-// BM_PageCacheStreamFill, are timed in host time instead.
+// Three cache cases, BM_InodeTeardown_ResidentCache, BM_PageCacheStreamFill
+// and BM_DiskStreamFill, are timed in host time instead.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "src/kernel/kernel.h"
 #include "src/kernel/page_cache.h"
 #include "src/obs/metrics.h"
 #include "src/workloads/harness.h"
@@ -223,6 +225,55 @@ void BM_PageCacheStreamFill(benchmark::State& state) {
       ns / (static_cast<double>(state.iterations()) * static_cast<double>(kStreamPages));
 }
 
+// Cold sequential 1 MiB reads of a disk-backed file larger than the page
+// cache, through the native filesystem: every page misses, and each
+// readahead fill takes its pages from the disk model into the cache, where
+// they evict the pages the read before installed. Timed in host time like
+// BM_PageCacheStreamFill: the counter is host ns per page read.
+constexpr uint64_t kDiskStreamBytes = uint64_t{64} << 20;
+
+void BM_DiskStreamFill(benchmark::State& state) {
+  kernel::Kernel::Config config;
+  config.page_cache_capacity = uint64_t{48} << 20;
+  auto kernel = kernel::Kernel::Create(config);
+  auto proc = kernel->init();
+  const std::string path = "/data/stream";
+  std::vector<char> buf(uint64_t{1} << 20);
+  auto fd = kernel->Open(*proc, path, kernel::kOWrOnly | kernel::kOCreat, 0644);
+  if (!fd.ok()) {
+    state.SkipWithError("open failed");
+    return;
+  }
+  for (uint64_t off = 0; off < kDiskStreamBytes; off += buf.size()) {
+    std::fill(buf.begin(), buf.end(), static_cast<char>(off >> 20));
+    (void)kernel->Write(*proc, fd.value(), buf.data(), buf.size());
+  }
+  (void)kernel->Fsync(*proc, fd.value());
+  (void)kernel->Close(*proc, fd.value());
+  auto stream = [&] {
+    auto rfd = kernel->Open(*proc, path, kernel::kORdOnly);
+    for (uint64_t off = 0; rfd.ok() && off < kDiskStreamBytes; off += buf.size()) {
+      auto n = kernel->Read(*proc, rfd.value(), buf.data(), buf.size());
+      benchmark::DoNotOptimize(n);
+      benchmark::DoNotOptimize(buf.data());
+    }
+    if (rfd.ok()) {
+      (void)kernel->Close(*proc, rfd.value());
+    }
+  };
+  stream();  // warm-up: from here on the cache is full and every fill evicts
+  double ns = 0;
+  for (auto _ : state) {
+    auto start = std::chrono::steady_clock::now();
+    stream();
+    ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+              .count();
+  }
+  state.counters["ns_per_page"] =
+      ns / (static_cast<double>(state.iterations()) *
+            static_cast<double>(kDiskStreamBytes / kernel::kPageSize));
+}
+
 void BM_CreateUnlink_Native(benchmark::State& state) {
   RunOpBench(state, false, CreateUnlinkOp);
 }
@@ -256,5 +307,6 @@ BENCHMARK(BM_ColdTreeWalk_CntrFs)->UseManualTime()->Iterations(50);
 BENCHMARK(BM_ColdTreeWalk_CntrFsNoReaddirPlus)->UseManualTime()->Iterations(50);
 BENCHMARK(BM_InodeTeardown_ResidentCache)->UseRealTime()->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PageCacheStreamFill)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiskStreamFill)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

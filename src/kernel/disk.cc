@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include "src/analysis/lockdep.h"
+#include "src/splice/page_ref.h"
 
 namespace cntr::kernel {
 
@@ -46,51 +47,95 @@ void DiskModel::ChargeDirectWrite(uint64_t bytes, uint32_t ops) {
 
 void DiskModel::ReadData(Ino ino, uint64_t off, uint64_t len, char* out) const {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  uint64_t n = 0;
-  auto it = data_.find(ino);
-  if (it != data_.end() && off < it->second.size()) {
-    n = std::min<uint64_t>(len, it->second.size() - off);
-    std::memcpy(out, it->second.data() + off, n);
+  auto it = files_.find(ino);
+  for (uint64_t done = 0; done < len;) {
+    uint64_t idx = (off + done) / kPageSize;
+    uint64_t in = (off + done) % kPageSize;
+    uint64_t take = std::min<uint64_t>(kPageSize - in, len - done);
+    const char* block = nullptr;
+    if (it != files_.end() && idx < it->second.size()) {
+      block = it->second[idx].get();
+    }
+    if (block != nullptr) {
+      std::memcpy(out + done, block + in, take);
+    } else {
+      std::memset(out + done, 0, take);
+    }
+    done += take;
   }
-  std::memset(out + n, 0, len - n);  // only the tail past the stored bytes
 }
 
 void DiskModel::WriteData(Ino ino, uint64_t off, uint64_t len, const char* src) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  auto& vec = data_[ino];
-  if (vec.size() < off + len) {
-    vec.resize(off + len, 0);
+  Blocks& blocks = files_[ino];
+  uint64_t end_page = (off + len + kPageSize - 1) / kPageSize;
+  if (blocks.size() < end_page) {
+    blocks.resize(end_page);
   }
-  std::memcpy(vec.data() + off, src, len);
+  for (uint64_t done = 0; done < len;) {
+    uint64_t idx = (off + done) / kPageSize;
+    uint64_t in = (off + done) % kPageSize;
+    uint64_t take = std::min<uint64_t>(kPageSize - in, len - done);
+    // The old block may be on loan: the write lands in a fresh one.
+    std::shared_ptr<char[]> fresh = std::make_shared_for_overwrite<char[]>(kPageSize);
+    if (take < kPageSize) {
+      if (blocks[idx] != nullptr) {
+        std::memcpy(fresh.get(), blocks[idx].get(), kPageSize);
+      } else {
+        std::memset(fresh.get(), 0, kPageSize);
+      }
+    }
+    std::memcpy(fresh.get() + in, src + done, take);
+    blocks[idx] = std::move(fresh);
+    done += take;
+  }
 }
 
 void DiskModel::TruncateData(Ino ino, uint64_t new_size) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  auto it = data_.find(ino);
-  if (it == data_.end()) {
+  auto it = files_.find(ino);
+  if (it == files_.end()) {
     return;
   }
-  it->second.resize(new_size, 0);
+  Blocks& blocks = it->second;
+  uint64_t keep_pages = (new_size + kPageSize - 1) / kPageSize;
+  if (blocks.size() > keep_pages) {
+    blocks.resize(keep_pages);
+  }
+  // Zero the cut-off tail of the boundary block, in a fresh block.
+  uint64_t keep = new_size % kPageSize;
+  if (keep != 0 && blocks.size() == keep_pages && blocks.back() != nullptr) {
+    std::shared_ptr<char[]>& block = blocks.back();
+    std::shared_ptr<char[]> fresh = std::make_shared_for_overwrite<char[]>(kPageSize);
+    std::memcpy(fresh.get(), block.get(), keep);
+    std::memset(fresh.get() + keep, 0, kPageSize - keep);
+    block = std::move(fresh);
+  }
 }
 
 void DiskModel::FreeData(Ino ino) {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  data_.erase(ino);
+  files_.erase(ino);
 }
 
-uint64_t DiskModel::StoredBytes(Ino ino) const {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  auto it = data_.find(ino);
-  return it == data_.end() ? 0 : it->second.size();
-}
-
-uint64_t DiskModel::TotalStoredBytes() const {
-  std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [ino, vec] : data_) {
-    total += vec.size();
+std::shared_ptr<char[]> DiskModel::LendPage(Ino ino, uint64_t idx) const {
+  {
+    std::lock_guard<analysis::CheckedMutex> lock(mu_);
+    auto it = files_.find(ino);
+    if (it != files_.end() && idx < it->second.size() && it->second[idx] != nullptr) {
+      return splice::LendFrame(it->second[idx]);
+    }
   }
-  return total;
+  return std::make_shared<char[]>(kPageSize);  // a hole
+}
+
+void DiskModel::StorePage(Ino ino, uint64_t idx, std::shared_ptr<char[]> frame) {
+  std::lock_guard<analysis::CheckedMutex> lock(mu_);
+  Blocks& blocks = files_[ino];
+  if (blocks.size() <= idx) {
+    blocks.resize(idx + 1);
+  }
+  blocks[idx] = std::move(frame);
 }
 
 }  // namespace cntr::kernel

@@ -1037,16 +1037,21 @@ uint32_t MemInode::FlushDirtyPages() {
     dirty_registered_ = false;
     return 0;
   }
-  char page[kPageSize];
   uint64_t bytes = 0;
   for (uint64_t idx : dirty) {
-    if (!opts.page_cache->PeekPage(this, idx, page)) {
-      continue;
-    }
     uint64_t page_start = idx * kPageSize;
     uint64_t len = std::min<uint64_t>(kPageSize, attr_.size > page_start ? attr_.size - page_start : 0);
+    // A whole page whose frame the cache alone holds becomes the disk's
+    // block as it is; any other page reaches the disk as a private copy.
+    std::shared_ptr<char[]> block = opts.page_cache->HandOffPage(this, idx, len == kPageSize);
+    if (block == nullptr) {
+      continue;
+    }
     if (len > 0) {
-      opts.disk->WriteData(ino(), page_start, len, page);
+      if (len < kPageSize) {
+        std::memset(block.get() + len, 0, kPageSize - len);  // a copy: no bytes past EOF
+      }
+      opts.disk->StorePage(ino(), idx, std::move(block));
       bytes += len;
     }
     opts.page_cache->MarkClean(this, idx);
@@ -1065,11 +1070,9 @@ void MemInode::FillFromDiskLocked(uint64_t page_idx, uint32_t pages) {
   uint32_t fetched = 0;
   for (uint32_t i = 0; i < pages; ++i) {
     uint64_t idx = page_idx + i;
-    // The disk bytes land in the frame the cache adopts; a resident
-    // (possibly dirty) page is never clobbered.
-    std::shared_ptr<char[]> frame = NewPageFrame();
-    opts.disk->ReadData(ino(), idx * kPageSize, kPageSize, frame.get());
-    if (opts.page_cache->InsertIfAbsent(this, idx, std::move(frame))) {
+    // The cache keeps a loan of the disk's block; a resident (possibly
+    // dirty) page is never clobbered.
+    if (opts.page_cache->InsertIfAbsent(this, idx, opts.disk->LendPage(ino(), idx))) {
       ++fetched;
     }
   }

@@ -237,6 +237,26 @@ std::vector<uint64_t> PageCachePool::DirtyPages(CacheOwner owner) const {
   return out;
 }
 
+std::shared_ptr<char[]> PageCachePool::HandOffPage(CacheOwner owner, uint64_t idx, bool whole) {
+  Key key{owner, idx};
+  uint32_t tag = 0;
+  Shard& shard = ShardFor(key, &tag);
+  std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+  NodeId id = FindLocked(shard, key, tag);
+  if (id == kNone) {
+    return nullptr;
+  }
+  std::shared_ptr<char[]>& data = shard.nodes[id].data;
+  if (whole && data.use_count() == 1 && !splice::IsLoan(data)) {
+    std::shared_ptr<char[]> frame = data;
+    data = splice::LendFrame(frame);
+    return frame;
+  }
+  std::shared_ptr<char[]> copy = NewPageFrame();
+  std::memcpy(copy.get(), data.get(), kPageSize);
+  return copy;
+}
+
 bool PageCachePool::PeekPage(CacheOwner owner, uint64_t idx, char* out,
                              uint64_t* gen_out) const {
   Key key{owner, idx};
@@ -507,20 +527,26 @@ uint64_t PageCachePool::DropFromLocked(Shard& shard, const SliceKey& slice, uint
 }
 
 void PageCachePool::EnsureExclusiveLocked(Node& page, bool preserve_content) {
-  if (page.data.use_count() <= 1) {
+  bool shared = page.data.use_count() > 1;
+  if (!shared && !splice::IsLoan(page.data)) {
     return;
   }
-  // An outside splice reference holds this buffer: writing in place would
-  // mutate payload already handed out. Break the sharing with a private
-  // copy — the real cost of a failed page reuse. Without preserve_content
-  // the caller overwrites the whole page.
+  // Without preserve_content the caller overwrites the whole page.
   std::shared_ptr<char[]> fresh = NewPageFrame();
   if (preserve_content) {
     std::memcpy(fresh.get(), page.data.get(), kPageSize);
   }
   page.data = std::move(fresh);
-  cow_breaks_->Add();
-  clock_->Advance(costs_->copy_page_ns);
+  if (shared) {
+    // An outside splice reference holds this buffer: writing in place would
+    // mutate payload already handed out. Breaking the sharing with a
+    // private copy is the real cost of a failed page reuse. An unshared
+    // loan stands for the private copy of the disk bytes that a fill once
+    // made, which was written in place for free, so its copy-out is not
+    // charged.
+    cow_breaks_->Add();
+    clock_->Advance(costs_->copy_page_ns);
+  }
 }
 
 void PageCachePool::TouchLocked(Shard& shard, NodeId id) {

@@ -41,6 +41,24 @@
 // resident, and what each call costs in virtual time, is therefore the same
 // for any sequence of calls; only the host time spent finding pages moved.
 //
+// Frames and loans: a page's frame is either the cache's own buffer or a
+// loan of a disk block (splice::LendFrame). Disk-backed reads install loans
+// (MemInode::FillFromDiskLocked: no page allocation, no copy), and a loan
+// may travel on through splice references into another owner's pages. The
+// cache never writes through a loan: EnsureExclusiveLocked copies a loan
+// out before a write. The copy-on-write charge (copy_page_ns,
+// cntr_page_cache_cow_breaks) keys on the cache-side use_count() alone — a
+// loan's count covers the holders of the view, not the disk's block — so
+// it falls exactly where it fell when every disk read filled a private
+// copy, and the silent copy-out of an unshared loan is not charged.
+//
+// Writeback hand-off: HandOffPage gives the disk a dirty page's frame for
+// it to keep as the page's block when the cache alone holds the frame (no
+// splice reference) and the frame is not itself a loan; the node keeps a
+// loan of the same buffer, with no LRU touch, charge or counter. Any other
+// page leaves as a private copy. Either way the disk gets a frame nobody
+// writes again.
+//
 // Eviction policy: clean pages are evicted LRU; dirty pages are pinned until
 // their owner flushes them (owners flush on fsync, on dirty thresholds, and
 // on release), at which point they become clean and evictable. The pool may
@@ -96,10 +114,10 @@ class PageCachePool {
   bool StorePage(CacheOwner owner, uint64_t idx, const char* data, bool dirty);
 
   // Insert-if-absent for clean fills (readahead from disk, a FUSE READ
-  // reply): installs `frame`, a full page the caller filled and holds
-  // alone, as a clean page at the LRU head. When the page is already
-  // resident — possibly newer, possibly dirty — it is left as it is (no LRU
-  // touch) and false is returned. May evict clean LRU pages; no cost is
+  // reply): installs `frame`, a full page the caller filled and holds alone
+  // or a loan of a disk block, as a clean page at the LRU head. When the
+  // page is already resident — possibly newer, possibly dirty — it is left
+  // as it is (no LRU touch) and false is returned. May evict clean LRU pages; no cost is
   // charged and no counter moves.
   bool InsertIfAbsent(CacheOwner owner, uint64_t idx, std::shared_ptr<char[]> frame);
 
@@ -133,6 +151,13 @@ class PageCachePool {
   // Dirty page indexes of one owner, sorted ascending (for extent-coalesced
   // writeback).
   std::vector<uint64_t> DirtyPages(CacheOwner owner) const;
+
+  // Writeback hand-off (see the header): a full-page frame of a resident
+  // page for the disk to keep as its block — the page's own frame when the
+  // cache alone holds it, is not a loan and `whole` is set (the node then
+  // keeps a loan of it), else a private copy. No LRU touch, charge or
+  // counter; nullptr on a miss.
+  std::shared_ptr<char[]> HandOffPage(CacheOwner owner, uint64_t idx, bool whole);
 
   // Copies page content (must be resident) without LRU/cost effects; used by
   // writeback to read dirty data. `gen_out`, when non-null, receives the
@@ -325,8 +350,9 @@ class PageCachePool {
   static void TouchLocked(Shard& shard, NodeId id);
   void EvictIfNeededLocked(Shard& shard);
   // Un-shares a page before mutation (COW break); charges a page copy when
-  // outside references exist. `preserve_content` copies the old bytes into
-  // the fresh page (partial updates need them; full overwrites do not).
+  // outside references exist, and copies an unshared loan out uncharged.
+  // `preserve_content` copies the old bytes into the fresh page (partial
+  // updates need them; full overwrites do not).
   void EnsureExclusiveLocked(Node& page, bool preserve_content);
   // The buffer an install of `ref` adopts: the ref's own page when stolen
   // or aliased, else a zero-padded copy. Sets `mode` and counts it.

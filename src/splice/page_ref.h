@@ -8,20 +8,45 @@
 // zero-copy lanes trade in.
 //
 // Mutation discipline: a holder may write through `page` only while it is
-// the sole owner (`unique()`), mirroring the kernel's page-steal rule. Every
-// shared holder treats the buffer as read-only; writers that find the page
-// shared must copy first (copy-on-write — see PageCachePool's COW guards).
+// the sole owner (`unique()`) and the frame is not on loan (`IsLoan`),
+// mirroring the kernel's page-steal rule. Every shared holder treats the
+// buffer as read-only; writers that find the page shared or lent must copy
+// first (copy-on-write — see PageCachePool's COW guards).
+//
+// A loan is a read-only view of a page block that another store keeps (the
+// disk model lends its blocks to the page cache). The view has a control
+// block of its own that pins the block, so its use_count() counts the
+// view's holders only, and a loan that leaves through a splice reference
+// stays a loan wherever it is installed.
 #ifndef CNTR_SRC_SPLICE_PAGE_REF_H_
 #define CNTR_SRC_SPLICE_PAGE_REF_H_
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/types.h"
 
 namespace cntr::splice {
+
+// The deleter of a loan's control block: it frees nothing, and holds the
+// lent block until the last holder of the view lets go.
+struct LoanPin {
+  std::shared_ptr<char[]> block;
+  void operator()(char* /*data*/) const {}
+};
+
+// A loan of `block`: the same bytes under a control block of its own.
+inline std::shared_ptr<char[]> LendFrame(std::shared_ptr<char[]> block) {
+  char* data = block.get();
+  return std::shared_ptr<char[]>(data, LoanPin{std::move(block)});
+}
+
+inline bool IsLoan(const std::shared_ptr<char[]>& frame) {
+  return std::get_deleter<LoanPin>(frame) != nullptr;
+}
 
 struct PageRef {
   std::shared_ptr<char[]> page;  // kPageSize-byte buffer
@@ -29,7 +54,7 @@ struct PageRef {
 
   bool valid() const { return page != nullptr; }
   // True when this reference is the only owner, i.e. the page may be
-  // stolen (adopted without copy) or written in place.
+  // stolen (adopted without copy), or written in place unless it is a loan.
   bool unique() const { return page != nullptr && page.use_count() == 1; }
 
   const char* data() const { return page.get(); }
@@ -45,8 +70,11 @@ struct PageRef {
 
   // A fresh page holding a copy of `src[0, len)`; the tail is zeroed.
   static PageRef Copy(const char* src, uint32_t len) {
-    PageRef ref = Alloc(len);
+    PageRef ref;
+    ref.page = std::make_shared_for_overwrite<char[]>(kernel::kPageSize);
+    ref.len = len;
     std::memcpy(ref.page.get(), src, len);
+    std::memset(ref.page.get() + len, 0, kernel::kPageSize - len);
     return ref;
   }
 

@@ -6,6 +6,8 @@
 #include <string>
 
 #include "src/kernel/kernel.h"
+#include "src/kernel/memfs.h"
+#include "src/util/rng.h"
 
 namespace cntr::kernel {
 namespace {
@@ -41,6 +43,22 @@ class VfsTest : public ::testing::Test {
     ASSERT_TRUE(n.ok()) << n.status().ToString();
     ASSERT_EQ(n.value(), content.size());
     ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+  }
+
+  void Sync(const std::string& path) {
+    auto fd = kernel_->Open(*proc_, path, kORdWr);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(kernel_->Fsync(*proc_, fd.value()).ok());
+    ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+  }
+
+  // Up to `len` bytes at `off` through `fd`, as many as the read returned.
+  std::string Pread(Fd fd, uint64_t off, size_t len) {
+    std::string out(len, '\0');
+    auto n = kernel_->Pread(*proc_, fd, out.data(), len, off);
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    out.resize(n.ok() ? n.value() : 0);
+    return out;
   }
 
   std::unique_ptr<Kernel> kernel_;
@@ -369,6 +387,189 @@ TEST_F(VfsTest, ODirectReadsBypassCacheOnExtFs) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), sizeof(buf));
   EXPECT_EQ(buf[0], 'd');
+}
+
+// A disk-backed file under a seeded mix of buffered and O_DIRECT I/O,
+// truncates, fsyncs and cache drops, checked against a byte-string model.
+// Cached pages are loans of the disk's blocks, and writeback hands whole
+// pages to the disk, so a write that reached a block through a loan, or a
+// block rewritten under a cached loan, shows up here as a mismatch.
+// Buffered reads must always match the model; O_DIRECT reads see the disk,
+// which matches the model after each fsync. An O_DIRECT write neither
+// writes back nor invalidates the cached pages of its range, so the test
+// issues one only between an fsync and a drop of the clean pages.
+TEST_F(VfsTest, DiskBackedFileMatchesModelUnderMixedIo) {
+  constexpr uint64_t kMaxSize = 12 * kPageSize;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::string path = "/data/model-" + std::to_string(seed);
+    auto fd = kernel_->Open(*proc_, path, kORdWr | kOCreat | kOTrunc, 0644);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    auto dfd = kernel_->Open(*proc_, path, kORdWr | kODirect);
+    ASSERT_TRUE(dfd.ok()) << dfd.status().ToString();
+    std::string model;
+    auto random_bytes = [&](uint64_t len) {
+      std::string bytes(len, '\0');
+      for (char& c : bytes) {
+        c = static_cast<char>('a' + rng.Below(26));
+      }
+      return bytes;
+    };
+    // Whole pages half the time, so writes also replace lent pages outright.
+    auto random_extent = [&](uint64_t* off, uint64_t* len) {
+      if (rng.Chance(1, 2)) {
+        *off = rng.Below(kMaxSize / kPageSize - 2) * kPageSize;
+        *len = rng.Range(1, 2) * kPageSize;
+      } else {
+        *off = rng.Below(kMaxSize - 2 * kPageSize);
+        *len = rng.Range(1, 2 * kPageSize);
+      }
+    };
+    auto apply = [&](uint64_t off, const std::string& bytes) {
+      if (model.size() < off + bytes.size()) {
+        model.resize(off + bytes.size(), '\0');
+      }
+      model.replace(off, bytes.size(), bytes);
+    };
+    auto direct_matches_model = [&] {
+      ASSERT_EQ(Pread(dfd.value(), 0, kMaxSize + kPageSize), model);
+      uint64_t off = rng.Below(kMaxSize);
+      uint64_t len = rng.Range(1, 3 * kPageSize);
+      ASSERT_EQ(Pread(dfd.value(), off, len),
+                off < model.size() ? model.substr(off, len) : std::string());
+    };
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      switch (rng.Below(7)) {
+        case 0:
+        case 1: {
+          uint64_t off = 0;
+          uint64_t len = 0;
+          random_extent(&off, &len);
+          std::string bytes = random_bytes(len);
+          auto n = kernel_->Pwrite(*proc_, fd.value(), bytes.data(), len, off);
+          ASSERT_TRUE(n.ok()) << n.status().ToString();
+          ASSERT_EQ(n.value(), len);
+          apply(off, bytes);
+          break;
+        }
+        case 2: {  // shrink or grow
+          uint64_t size = rng.Below(kMaxSize);
+          ASSERT_TRUE(kernel_->Ftruncate(*proc_, fd.value(), size).ok());
+          model.resize(size, '\0');
+          break;
+        }
+        case 3:
+          ASSERT_TRUE(kernel_->Fsync(*proc_, fd.value()).ok());
+          direct_matches_model();
+          break;
+        case 4:
+          kernel_->page_cache().DropAllClean();
+          break;
+        case 5: {
+          ASSERT_TRUE(kernel_->Fsync(*proc_, fd.value()).ok());
+          uint64_t off = 0;
+          uint64_t len = 0;
+          random_extent(&off, &len);
+          std::string bytes = random_bytes(len);
+          auto n = kernel_->Pwrite(*proc_, dfd.value(), bytes.data(), len, off);
+          ASSERT_TRUE(n.ok()) << n.status().ToString();
+          ASSERT_EQ(n.value(), len);
+          apply(off, bytes);
+          kernel_->page_cache().DropAllClean();
+          direct_matches_model();
+          break;
+        }
+        default:
+          break;  // a read-only step
+      }
+      uint64_t off = rng.Below(kMaxSize);
+      uint64_t len = rng.Range(1, 3 * kPageSize);
+      ASSERT_EQ(Pread(fd.value(), off, len),
+                off < model.size() ? model.substr(off, len) : std::string());
+      if (step % 20 == 19) {
+        ASSERT_EQ(Pread(fd.value(), 0, kMaxSize + kPageSize), model);
+      }
+    }
+    ASSERT_TRUE(kernel_->Fsync(*proc_, fd.value()).ok());
+    direct_matches_model();
+    ASSERT_TRUE(kernel_->Close(*proc_, dfd.value()).ok());
+    ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+  }
+}
+
+// A cached page may be a loan of a disk block: a page filled from disk is
+// one, and so is a page whose frame writeback handed to the disk. A write
+// into either copies the loan out before it writes, and that copy is not
+// charged: the writer's clock advances exactly as for a write into a page
+// the cache owns, no copy-on-write break is counted, and the disk keeps the
+// old bytes until the next fsync.
+TEST_F(VfsTest, WritesIntoLentPagesCostWhatPrivatePagesCost) {
+  const std::string old_bytes(2 * kPageSize, 'o');
+  // Filled from disk: synced, dropped from the cache and read back in.
+  WriteFile("/data/filled", old_bytes);
+  Sync("/data/filled");
+  kernel_->page_cache().DropAllClean();
+  EXPECT_EQ(ReadAll("/data/filled"), old_bytes);
+  // Handed to the disk: the fsync gives the disk the dirty frames.
+  WriteFile("/data/handed", old_bytes);
+  Sync("/data/handed");
+  // Private: a hole reads in as a zeroed page of the cache's own. The write
+  // into the second page takes the file's first write, which alone pays
+  // the security.capability probe.
+  {
+    auto fd = kernel_->Open(*proc_, "/data/private", kORdWr | kOCreat, 0644);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(kernel_->Ftruncate(*proc_, fd.value(), old_bytes.size()).ok());
+    ASSERT_TRUE(kernel_->Pwrite(*proc_, fd.value(), "p", 1, kPageSize).ok());
+    ASSERT_TRUE(kernel_->Close(*proc_, fd.value()).ok());
+  }
+  Sync("/data/private");
+  EXPECT_EQ(ReadAll("/data/private").substr(0, kPageSize), std::string(kPageSize, '\0'));
+
+  const char* paths[] = {"/data/private", "/data/filled", "/data/handed"};
+  Fd fds[3];
+  for (int i = 0; i < 3; ++i) {
+    auto fd = kernel_->Open(*proc_, paths[i], kOWrOnly);
+    ASSERT_TRUE(fd.ok());
+    fds[i] = fd.value();
+  }
+  // Let the periodic journal commit fire now, on another file, so that
+  // none of the measured writes below pays for it.
+  kernel_->clock().Advance(MemFs::Options{}.commit_interval_ns + 1);
+  WriteFile("/data/commit", "x");
+
+  const std::string update(64, 'n');
+  const uint64_t cow_breaks = kernel_->page_cache().stats().cow_breaks;
+  uint64_t write_ns[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    uint64_t before = kernel_->clock().NowNs();
+    auto n = kernel_->Pwrite(*proc_, fds[i], update.data(), update.size(), 100);
+    write_ns[i] = kernel_->clock().NowNs() - before;
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(n.value(), update.size());
+  }
+  EXPECT_EQ(write_ns[1], write_ns[0]) << "a write into a page filled from disk";
+  EXPECT_EQ(write_ns[2], write_ns[0]) << "a write into a page handed to the disk";
+  EXPECT_EQ(kernel_->page_cache().stats().cow_breaks, cow_breaks);
+
+  std::string updated = old_bytes;
+  updated.replace(100, update.size(), update);
+  for (const char* path : {"/data/filled", "/data/handed"}) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(ReadAll(path), updated);
+    auto dfd = kernel_->Open(*proc_, path, kORdOnly | kODirect);
+    ASSERT_TRUE(dfd.ok());
+    EXPECT_EQ(Pread(dfd.value(), 0, old_bytes.size()), old_bytes)
+        << "the write reached the disk before fsync";
+    Sync(path);
+    EXPECT_EQ(Pread(dfd.value(), 0, old_bytes.size()), updated);
+    ASSERT_TRUE(kernel_->Close(*proc_, dfd.value()).ok());
+  }
+  for (Fd fd : fds) {
+    ASSERT_TRUE(kernel_->Close(*proc_, fd).ok());
+  }
 }
 
 }  // namespace
